@@ -2,7 +2,7 @@
 // cell through its characteristic protocol — T pulses toggling the
 // quantizing loop (Q* then C* outputs), the loop-current trace, and R
 // readout pulses (rejected in state 0).  Prints ASCII waveforms plus a
-// pulse-event table.  Experiment E2 in DESIGN.md §3.
+// pulse-event table.
 
 #include <algorithm>
 #include <cmath>
@@ -106,8 +106,8 @@ int main() {
                                                     3.14159 / 2)));
     }
   }
-  std::printf("\nstate-1 readout: peak sin(phi_JS) = %.3f of critical "
-              "(see EXPERIMENTS.md)\n", max_sin);
+  std::printf("\nstate-1 readout: peak sin(phi_JS) = %.3f of critical\n",
+              max_sin);
   std::printf("paper behaviours reproduced: toggle Q*/C* alternation, "
               "fluxon storage, state-0 rejection\n");
   return 0;

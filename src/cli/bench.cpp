@@ -120,10 +120,6 @@ io::Json reuse_json(const t1::ReuseCounters& r) {
   io::Json j = io::Json::object();
   j.set("map_cones_total", r.map_cones_total);
   j.set("map_cones_reused", r.map_cones_reused);
-  j.set("t1_cones_total", r.t1_cones_total);
-  j.set("t1_cones_reused", r.t1_cones_reused);
-  j.set("t1_exact", r.t1_exact);
-  j.set("stage_spliced", r.stage_spliced);
   return j;
 }
 
@@ -281,7 +277,10 @@ int run_bench(const Options& opts) {
   // every circuit, which is exactly how a long-lived mapping service runs.
   // The pipeline is the same one report mode would run (--passes is
   // rejected in bench mode, so this is the skip_checks/CEC selection).
+  // The cone memo is off: every rep re-runs the same input, so a warm
+  // engine would time full-map splices instead of cold runs.
   t1::FlowEngine engine(build_pipeline(opts));
+  engine.set_incremental(false);
 
   io::Json root = io::Json::object();
   root.set("bench", "flow");

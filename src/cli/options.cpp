@@ -457,9 +457,9 @@ std::string usage() {
       "                              engine and assert bit-identity with a\n"
       "                              cold engine (default 0 = off)\n"
       "  --incremental-from FILE     map FILE (AIGER or BLIF) first to warm\n"
-      "                              the engine's cone memo, then map the\n"
+      "                              the mapper's cone memo, then map the\n"
       "                              requested circuit incrementally; the\n"
-      "                              report shows per-pass reuse counters.\n"
+      "                              report shows the cone reuse counters.\n"
       "                              Results are bit-identical either way\n"
       "  --out-blif FILE             write the mapped netlist as BLIF\n"
       "  --out-dot FILE              write a stage-annotated DOT graph\n"

@@ -10,7 +10,6 @@
 #include "common/require.hpp"
 #include "gen/registry.hpp"
 #include "serve/json_out.hpp"
-#include "t1/cone_memo.hpp"
 
 namespace t1map::cli {
 
@@ -24,7 +23,7 @@ std::string nphi_key(int phases) {
 /// even when the flow throws.
 class MemoAttach {
  public:
-  MemoAttach(t1::FlowScratch& scratch, t1::ConeMemo& memo)
+  MemoAttach(t1::FlowScratch& scratch, sfq::MapMemo& memo)
       : scratch_(scratch), saved_(scratch.memo) {
     scratch_.memo = &memo;
   }
@@ -34,7 +33,7 @@ class MemoAttach {
 
  private:
   t1::FlowScratch& scratch_;
-  t1::ConeMemo* saved_;
+  sfq::MapMemo* saved_;
 };
 
 /// One configuration through the shared pipeline; throws ContractError when
@@ -48,7 +47,7 @@ ConfigResult run_one_config(const t1::Pipeline& pipeline, const Aig& aig,
   result.key = key;
   result.params = config_params(key, opts);
 
-  t1::ConeMemo memo;
+  sfq::MapMemo memo;
   std::optional<MemoAttach> attach;
   if (prime != nullptr) {
     attach.emplace(scratch, memo);
@@ -175,10 +174,6 @@ io::Json report_json(const Report& report) {
       io::Json reuse = io::Json::object();
       reuse.set("map_cones_total", r.map_cones_total);
       reuse.set("map_cones_reused", r.map_cones_reused);
-      reuse.set("t1_cones_total", r.t1_cones_total);
-      reuse.set("t1_cones_reused", r.t1_cones_reused);
-      reuse.set("t1_exact", r.t1_exact);
-      reuse.set("stage_spliced", r.stage_spliced);
       j.set("reuse", std::move(reuse));
     }
     configs.set(c.key, std::move(j));
@@ -243,12 +238,8 @@ std::string report_text(const Report& report, bool with_paper) {
     os << line;
     for (const ConfigResult& c : report.configs) {
       const t1::ReuseCounters& r = c.flow.reuse;
-      std::snprintf(line, sizeof(line),
-                    "%-16s map %u/%u cones reused, t1 %u/%u%s, stage %s\n",
-                    c.key.c_str(), r.map_cones_reused, r.map_cones_total,
-                    r.t1_cones_reused, r.t1_cones_total,
-                    r.t1_exact ? " (exact)" : "",
-                    r.stage_spliced ? "reused" : "recomputed");
+      std::snprintf(line, sizeof(line), "%-16s map %u/%u cones reused\n",
+                    c.key.c_str(), r.map_cones_reused, r.map_cones_total);
       os << line;
     }
   }

@@ -255,13 +255,6 @@ void Server::process_batch(t1::FlowEngine& engine, std::vector<Job>& batch) {
                                  std::memory_order_relaxed);
         inc_map_reused_.fetch_add(r.map_cones_reused,
                                   std::memory_order_relaxed);
-        inc_t1_total_.fetch_add(r.t1_cones_total, std::memory_order_relaxed);
-        inc_t1_reused_.fetch_add(r.t1_cones_reused,
-                                 std::memory_order_relaxed);
-        if (r.t1_exact) inc_t1_exact_.fetch_add(1, std::memory_order_relaxed);
-        if (r.stage_spliced) {
-          inc_stage_spliced_.fetch_add(1, std::memory_order_relaxed);
-        }
       }
     }
     // One dispatch-latency sample per job in the group: "what did a
@@ -319,10 +312,6 @@ void Server::write_response(Connection& conn, const Job& job) {
           inc_map_total_.load(std::memory_order_relaxed);
       const std::uint64_t map_reused =
           inc_map_reused_.load(std::memory_order_relaxed);
-      const std::uint64_t t1_total =
-          inc_t1_total_.load(std::memory_order_relaxed);
-      const std::uint64_t t1_reused =
-          inc_t1_reused_.load(std::memory_order_relaxed);
       w.key("incremental").begin_object();
       w.key("flow_runs").value(
           inc_flow_runs_.load(std::memory_order_relaxed));
@@ -332,16 +321,12 @@ void Server::write_response(Connection& conn, const Job& job) {
           .value(map_total > 0 ? static_cast<double>(map_reused) /
                                      static_cast<double>(map_total)
                                : 0.0);
-      w.key("t1_cones_total").value(t1_total);
-      w.key("t1_cones_reused").value(t1_reused);
-      w.key("t1_hit_rate")
-          .value(t1_total > 0 ? static_cast<double>(t1_reused) /
-                                    static_cast<double>(t1_total)
-                              : 0.0);
-      w.key("t1_exact_hits").value(
-          inc_t1_exact_.load(std::memory_order_relaxed));
-      w.key("stage_splice_hits").value(
-          inc_stage_spliced_.load(std::memory_order_relaxed));
+      // Only the mapper splices; these keys stay (always 0) for existing
+      // stats readers.
+      w.key("t1_cones_total").value(0);
+      w.key("t1_cones_reused").value(0);
+      w.key("t1_exact_hits").value(0);
+      w.key("stage_splice_hits").value(0);
       w.end_object();
     }
 

@@ -147,18 +147,15 @@ class Server {
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> connections_{0};
 
-  // Cone-memo (incremental mapping) reuse, accumulated over every computed
-  // (non-cached) flow run; the `stats` response reports them with hit
-  // rates.  Single-threaded dispatch runs on the engine's own scratch and
-  // splices from its memo; multi-worker dispatch uses per-worker scratches
-  // without a memo, so these stay zero there by construction.
+  // Mapper cone-memo (incremental mapping) reuse, accumulated over every
+  // computed (non-cached) flow run; the `stats` response reports them with
+  // a hit rate.  Single-threaded dispatch runs on the engine's own scratch
+  // and splices from its memo; multi-worker dispatch uses per-worker
+  // scratches without a memo, so the reused count stays zero there by
+  // construction.
   std::atomic<std::uint64_t> inc_flow_runs_{0};
   std::atomic<std::uint64_t> inc_map_total_{0};
   std::atomic<std::uint64_t> inc_map_reused_{0};
-  std::atomic<std::uint64_t> inc_t1_total_{0};
-  std::atomic<std::uint64_t> inc_t1_reused_{0};
-  std::atomic<std::uint64_t> inc_t1_exact_{0};
-  std::atomic<std::uint64_t> inc_stage_spliced_{0};
 
   /// Per-config dispatch-latency histograms ("1phi"/"nphi"/"t1"), merged
   /// across sessions; guarded because sessions record concurrently.

@@ -82,7 +82,8 @@ struct MapChoice {
 /// Retained artifacts of one mapping run, keyed by per-node cone digests:
 /// the full cut sets and DP choices, plus the digests/fanouts needed to
 /// build a cone correspondence against the next AIG.  Owned by
-/// `t1::ConeMemo`; contents are moved in after each run (no deep copies).
+/// `t1::FlowEngine` (see `set_incremental`); contents are moved in after
+/// each run (no deep copies).
 struct MapMemo {
   bool valid = false;
   std::uint64_t params_key = 0;  // fingerprint of the cut parameters
@@ -90,11 +91,6 @@ struct MapMemo {
   std::vector<std::uint32_t> fanouts;
   CutSet cuts;
   std::vector<MapChoice> choices;
-
-  void clear() {
-    valid = false;
-    params_key = 0;
-  }
 };
 
 /// Fingerprint of every `MapperParams` field that influences memoized

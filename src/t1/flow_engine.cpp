@@ -11,8 +11,6 @@
 
 #include "common/hash_mix.hpp"
 #include "retime/timing_check.hpp"
-#include "sfq/netlist_digest.hpp"
-#include "t1/cone_memo.hpp"
 #include "t1/t1_detect.hpp"
 #include "t1/t1_rewrite.hpp"
 
@@ -144,12 +142,11 @@ bool MapPass::run(FlowContext& ctx) const {
     parallel.pool = ctx.scratch->pool();
     parallel.cuts = &ctx.scratch->par_cuts;
   }
-  ConeMemo* memo = ctx.scratch != nullptr ? ctx.scratch->memo : nullptr;
   sfq::MapReuse map_reuse;
   ctx.mapped = sfq::map_to_sfq(
       *ctx.aig, ctx.params.mapper, &map_stats,
       ctx.scratch != nullptr ? &ctx.scratch->cuts : nullptr, parallel,
-      memo != nullptr ? &memo->map : nullptr, &map_reuse);
+      ctx.scratch != nullptr ? ctx.scratch->memo : nullptr, &map_reuse);
   ctx.reuse.map_cones_total = map_reuse.cones_total;
   ctx.reuse.map_cones_reused = map_reuse.cones_reused;
   ctx.mapped.check_well_formed();
@@ -163,16 +160,10 @@ bool T1DetectPass::run(FlowContext& ctx) const {
   if (!ctx.params.use_t1) return true;  // disabled by configuration
   T1MAP_REQUIRE(ctx.params.num_phases >= 3,
                 "the T1 flow needs at least 3 phases (input separation)");
-  ConeMemo* memo = ctx.scratch != nullptr ? ctx.scratch->memo : nullptr;
-  DetectReuse det_reuse;
   const DetectResult det = detect_t1(
       ctx.mapped, ctx.params.detect,
       ctx.scratch != nullptr ? &ctx.scratch->cuts : nullptr,
-      ctx.scratch != nullptr ? &ctx.scratch->t1_detect : nullptr,
-      memo != nullptr ? &memo->detect : nullptr, &det_reuse);
-  ctx.reuse.t1_cones_total = det_reuse.cones_total;
-  ctx.reuse.t1_cones_reused = det_reuse.cones_reused;
-  ctx.reuse.t1_exact = det_reuse.exact;
+      ctx.scratch != nullptr ? &ctx.scratch->t1_detect : nullptr);
   ctx.stats.t1_found = det.found;
   ctx.stats.t1_used = det.used;
   if (!det.accepted.empty()) {
@@ -188,28 +179,7 @@ bool StageAssignPass::run(FlowContext& ctx) const {
   const retime::StageParams stage_params{
       ctx.params.num_phases, ctx.params.optimize_stages,
       ctx.params.stage_sweeps};
-  // The coordinate-descent optimizer is move-sequence dependent, so there
-  // is no sound cone-level splice here; instead an identity-digest match of
-  // the (post-T1) netlist reuses the whole memoized assignment — the common
-  // case when the upstream passes absorbed an edit or on exact re-runs.
-  ConeMemo* memo = ctx.scratch != nullptr ? ctx.scratch->memo : nullptr;
-  if (memo != nullptr) {
-    const std::uint64_t key = stage_params_key(stage_params);
-    const std::uint64_t identity = sfq::netlist_identity_digest(ctx.mapped);
-    StageMemo& sm = memo->stage;
-    if (sm.valid && sm.params_key == key && sm.identity == identity) {
-      ctx.assignment = sm.assignment;
-      ctx.reuse.stage_spliced = true;
-    } else {
-      ctx.assignment = retime::assign_stages(ctx.mapped, stage_params);
-      sm.assignment = ctx.assignment;
-      sm.identity = identity;
-      sm.params_key = key;
-      sm.valid = true;
-    }
-  } else {
-    ctx.assignment = retime::assign_stages(ctx.mapped, stage_params);
-  }
+  ctx.assignment = retime::assign_stages(ctx.mapped, stage_params);
   ctx.has_assignment = true;
   return true;
 }
@@ -449,11 +419,9 @@ FlowEngine::FlowEngine(Pipeline pipeline) : pipeline_(std::move(pipeline)) {
   set_incremental(true);
 }
 
-FlowEngine::~FlowEngine() = default;
-
 void FlowEngine::set_incremental(bool enabled) {
   if (enabled) {
-    if (memo_ == nullptr) memo_ = std::make_unique<ConeMemo>();
+    if (memo_ == nullptr) memo_ = std::make_unique<sfq::MapMemo>();
     scratch_.memo = memo_.get();
   } else {
     scratch_.memo = nullptr;

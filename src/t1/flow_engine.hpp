@@ -96,18 +96,20 @@ const char* cec_verdict_name(sat::CecResult::Verdict verdict);
 
 // --- Engine state ------------------------------------------------------------
 
-struct ConeMemo;  // cone_memo.hpp — the incremental-mapping retained store
-
-/// Cone/pass reuse counters of one run.  All zeros (and false flags) on a
-/// cold run or when the scratch carries no memo; the counters never affect
-/// the mapped result — splices are bit-identical by construction.
+/// Cone reuse counters of one run.  Only the mapper splices (see
+/// `sfq::MapMemo`): `map_cones_reused` is 0 on a cold run or when the
+/// scratch carries no memo, and the counters never affect the mapped
+/// result — splices are bit-identical by construction.  The `t1_*` and
+/// `stage_spliced` fields are always 0/false: T1 detection and stage
+/// assignment always run cold.  They stay only so existing readers of the
+/// struct keep compiling.
 struct ReuseCounters {
   std::uint32_t map_cones_total = 0;   // AND cones seen by the mapper
   std::uint32_t map_cones_reused = 0;  // … spliced from the memo
-  std::uint32_t t1_cones_total = 0;    // logic cones seen by T1 detection
-  std::uint32_t t1_cones_reused = 0;   // … whose cut sets were spliced
-  bool t1_exact = false;       // whole DetectResult reused (identity hit)
-  bool stage_spliced = false;  // whole StageAssignment reused (identity hit)
+  std::uint32_t t1_cones_total = 0;    // always 0
+  std::uint32_t t1_cones_reused = 0;   // always 0
+  bool t1_exact = false;               // always false
+  bool stage_spliced = false;          // always false
 };
 
 /// Reusable per-thread scratch: every allocation-heavy substrate the passes
@@ -119,12 +121,12 @@ struct FlowScratch {
   sat::Solver solver;       // SatCecPass clause arena
   sfq::SimScratch sim;      // SimEquivPass stimulus buffer
 
-  /// Incremental-mapping store (cone_memo.hpp), or null for always-cold
+  /// The mapper's cone memo (sfq/mapper.hpp), or null for always-cold
   /// runs.  Unlike the fields above this is a non-owning hook: `FlowEngine`
-  /// points it at its own `ConeMemo` (see `set_incremental`), and the
+  /// points it at its own `MapMemo` (see `set_incremental`), and the
   /// per-worker scratches of `for_each_with_scratch` leave it null — the
   /// memo is single-threaded state.
-  ConeMemo* memo = nullptr;
+  sfq::MapMemo* memo = nullptr;
 
   /// Workers available for parallel sections *inside* passes (level-parallel
   /// mapping, solver-pool CEC).  1 = serial.  Results are identical at any
@@ -405,17 +407,17 @@ class FlowEngine {
   /// Engine over the default Table-I pipeline (no CEC).
   FlowEngine();
   explicit FlowEngine(Pipeline pipeline);
-  ~FlowEngine();  // out of line: ConeMemo is incomplete here
 
   const Pipeline& pipeline() const { return pipeline_; }
   void set_pipeline(Pipeline pipeline);
 
   /// Cone-level incremental mapping across this engine's runs (default on):
-  /// consecutive `run`s splice per-cone artifacts of the previous run where
-  /// structural digests match, which makes re-running after a small edit —
-  /// or an exact re-run — cheap.  Results are always bit-identical to cold
-  /// runs; `EngineResult::reuse` reports how much was spliced.  Turning it
-  /// off drops the retained store.
+  /// consecutive `run`s splice the mapper's per-cone cut sets and choices
+  /// from the previous run where structural digests match, which makes
+  /// re-mapping after a small edit cheap.  The later passes always run
+  /// cold.  Results are always bit-identical to cold runs;
+  /// `EngineResult::reuse` reports how much was spliced.  Turning it off
+  /// drops the retained store.
   void set_incremental(bool enabled);
   bool incremental() const { return scratch_.memo != nullptr; }
 
@@ -460,7 +462,7 @@ class FlowEngine {
  private:
   Pipeline pipeline_;
   FlowScratch scratch_;
-  std::unique_ptr<ConeMemo> memo_;  // scratch_.memo points here when enabled
+  std::unique_ptr<sfq::MapMemo> memo_;  // scratch_.memo points here when on
   int threads_ = 1;
 };
 

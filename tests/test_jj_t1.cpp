@@ -1,8 +1,8 @@
 // Analog T1 cell behaviour (paper Fig. 1a/1b): toggle action with Q*/C*
 // alternation, fluxon storage in the quantizing loop, and state-0 pulse
 // rejection through the escape junction.  The assertions encode the tuned
-// operating point's verified behaviours; see EXPERIMENTS.md for the S
-// readout deviation.
+// operating point's verified behaviours; T1Params (jj/cells.hpp) notes
+// the S readout level.
 
 #include <gtest/gtest.h>
 
