@@ -7,6 +7,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cli/report.hpp"
@@ -116,6 +117,22 @@ void write_bench_out(const Options& opts, const io::Json& root) {
   }
 }
 
+/// Root keys shared by every bench JSON: what was measured, and on which
+/// host and build, so snapshots from different machines stay tellable apart.
+io::Json bench_header(const char* bench, const Options& opts, bool with_cec) {
+  io::Json root = io::Json::object();
+  root.set("bench", bench);
+  root.set("config", "t1");
+  root.set("phases", opts.phases);
+  root.set("runs", opts.bench_runs);
+  root.set("verify_rounds", opts.verify_rounds);
+  root.set("cec", with_cec);
+  root.set("nproc", std::thread::hardware_concurrency());
+  root.set("compiler", __VERSION__);
+  root.set("build_type", T1MAP_BUILD_TYPE);
+  return root;
+}
+
 io::Json reuse_json(const t1::ReuseCounters& r) {
   io::Json j = io::Json::object();
   j.set("map_cones_total", r.map_cones_total);
@@ -153,13 +170,7 @@ int run_bench_nearduplicate(const Options& opts) {
   t1::FlowEngine cold(make_pipeline());
   cold.set_incremental(false);
 
-  io::Json root = io::Json::object();
-  root.set("bench", "nearduplicate");
-  root.set("config", "t1");
-  root.set("phases", opts.phases);
-  root.set("runs", opts.bench_runs);
-  root.set("verify_rounds", opts.verify_rounds);
-  root.set("cec", with_cec);
+  io::Json root = bench_header("nearduplicate", opts, with_cec);
   root.set("mutants", kMutants);
   io::Json circuits_json = io::Json::object();
 
@@ -282,13 +293,7 @@ int run_bench(const Options& opts) {
   t1::FlowEngine engine(build_pipeline(opts));
   engine.set_incremental(false);
 
-  io::Json root = io::Json::object();
-  root.set("bench", "flow");
-  root.set("config", "t1");
-  root.set("phases", opts.phases);
-  root.set("runs", opts.bench_runs);
-  root.set("verify_rounds", opts.verify_rounds);
-  root.set("cec", with_cec);
+  io::Json root = bench_header("flow", opts, with_cec);
   io::Json circuits_json = io::Json::object();
 
   std::vector<Aig> aigs;
@@ -351,8 +356,8 @@ int run_bench(const Options& opts) {
                  opts.bench_runs);
   }
   // Intra-netlist scaling sweep: each requested thread count re-times every
-  // circuit with the whole budget spent inside the passes (level-parallel
-  // mapping, solver-pool CEC) and lands as a NAME@tN pseudo-circuit entry.
+  // circuit with the whole budget spent inside the run (solver-pool CEC;
+  // the mapping passes run serially) and lands as a NAME@tN entry.
   // `total` is wall time; `total_cpu` adds the helper threads' busy time, so
   // total_cpu/total ≈ utilized workers.  Stats must match the serial
   // measurement bit-for-bit — checked here, every sweep, not just in tests.

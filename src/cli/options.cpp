@@ -386,8 +386,7 @@ std::string usage() {
       "                              configurations in parallel, bench mode\n"
       "                              adds a batched run_many measurement.\n"
       "                              Threads left over after one per netlist\n"
-      "                              spill into the passes (parallel mapping\n"
-      "                              and per-output CEC); results are\n"
+      "                              spill into per-output CEC; results are\n"
       "                              identical at every thread count\n"
       "  --sat-portfolio             race two solver configurations on CEC\n"
       "                              outputs that resist a lone proof\n"

@@ -2,12 +2,10 @@
 /// \brief Persistent worker-thread pool for intra-netlist parallelism.
 ///
 /// `FlowEngine::run_many` spreads whole netlists over transient
-/// `std::thread`s; the per-pass parallel sections (level-parallel cut
-/// enumeration, the mapping DP, the solver-pool CEC) instead run many short
-/// barriers per netlist, where thread start-up latency would dominate.  A
-/// `WorkerPool` therefore keeps its helpers alive across `run` calls: one
-/// pool per `FlowScratch` serves every parallel section of every pass run on
-/// that scratch.
+/// `std::thread`s; the solver-pool CEC instead needs workers inside one
+/// netlist's run, on every run, where thread start-up latency would add up.
+/// A `WorkerPool` therefore keeps its helpers alive across `run` calls: one
+/// pool per `FlowScratch` serves the CEC of every run on that scratch.
 ///
 /// The calling thread always participates as worker 0, so a pool of N
 /// workers spawns only N-1 threads and `WorkerPool(1)` spawns none (every
@@ -19,7 +17,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
@@ -70,14 +67,5 @@ class WorkerPool {
   std::exception_ptr first_error_;
   std::atomic<std::uint64_t> busy_ns_{0};
 };
-
-/// Deals the index range [0, count) to the pool's workers in contiguous
-/// chunks of `grain`, calling `fn(begin, end, worker_id)` per chunk.  Chunks
-/// are claimed dynamically, so `fn` must only write state distinct per
-/// index.  A null pool (or a single-worker pool) degenerates to one inline
-/// `fn(0, count, 0)` call.
-void for_each_chunk(
-    WorkerPool* pool, std::size_t count, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t, int)>& fn);
 
 }  // namespace t1map

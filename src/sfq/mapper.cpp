@@ -139,8 +139,7 @@ std::uint64_t mapper_params_key(const MapperParams& params) {
 
 Netlist map_to_sfq(const Aig& aig, const MapperParams& params,
                    MapStats* stats, CutWorkspace* workspace,
-                   const MapParallel& parallel, MapMemo* memo,
-                   MapReuse* reuse) {
+                   MapMemo* memo, MapReuse* reuse) {
   T1MAP_REQUIRE(params.cuts.k >= 2 && params.cuts.k <= 3,
                 "SFQ mapper supports cut sizes 2 and 3");
   CutWorkspace local_ws;
@@ -149,9 +148,8 @@ Netlist map_to_sfq(const Aig& aig, const MapperParams& params,
 
   // --- Cone correspondence against the memoized previous run. -------------
   //
-  // Splicing runs serially: after a small edit the dirty region is tiny, so
-  // the parallel machinery would only add barrier costs.  Cold runs (no
-  // usable memo) keep the level-parallel path.
+  // With a usable memo, clean cones splice their cut sets and DP choices and
+  // only dirty ones are recomputed; otherwise everything runs cold.
   const std::uint64_t memo_key = mapper_params_key(params);
   std::vector<std::uint64_t> digests;
   ConeCorrespondence corr;
@@ -165,14 +163,8 @@ Netlist map_to_sfq(const Aig& aig, const MapperParams& params,
     }
   }
 
-  const bool level_parallel = !splice && parallel.pool != nullptr &&
-                              parallel.pool->num_workers() > 1 &&
-                              parallel.cuts != nullptr;
   if (splice) {
     enumerate_cuts_spliced(aig, params.cuts, ws, memo->cuts, corr);
-  } else if (level_parallel) {
-    enumerate_cuts_parallel(aig, params.cuts, ws, parallel.pool,
-                            *parallel.cuts);
   } else {
     enumerate_cuts_into(aig, params.cuts, ws);
   }
@@ -189,9 +181,6 @@ Netlist map_to_sfq(const Aig& aig, const MapperParams& params,
   std::vector<MapChoice> best(aig.num_nodes());
   std::vector<int> arrival(aig.num_nodes(), 0);
   std::vector<double> flow(aig.num_nodes(), 0.0);
-  // One byte per node (not vector<bool>): level-parallel workers write
-  // distinct indices concurrently, and packed bits sharing a word would make
-  // those writes racy read-modify-writes.
   std::vector<std::uint8_t> planned_neg(aig.num_nodes(), 0);
 
   const int not_stage = 1;
@@ -200,11 +189,9 @@ Netlist map_to_sfq(const Aig& aig, const MapperParams& params,
   };
 
   // The full DP step for one AND node.  Reads arrival/flow/planned_neg only
-  // at the cut leaves — strictly lower topological levels — and writes only
-  // this node's slots, which is what makes whole levels safe to compute
-  // concurrently.  `active` is caller-provided scratch (one per worker).
-  const auto compute_node = [&](std::uint32_t n,
-                                std::vector<std::uint32_t>& active) {
+  // at the cut leaves (lower node ids) and writes only this node's slots.
+  std::vector<std::uint32_t> active;  // support-reduced leaves of one cut
+  const auto compute_node = [&](std::uint32_t n) {
     MapChoice chosen;
     for (const Cut& cut : cuts[n]) {
       if (cut.is_trivial(n)) continue;
@@ -276,12 +263,11 @@ Netlist map_to_sfq(const Aig& aig, const MapperParams& params,
     // Clean nodes take the memoized DP verdict with leaf ids translated;
     // the clean predicate (digests, fanouts, fanins transitively) makes the
     // copied arrival/flow/polarity exactly what recomputation would yield.
-    std::vector<std::uint32_t> active;
     for (std::uint32_t n = 0; n < aig.num_nodes(); ++n) {
       if (!aig.is_and(n)) continue;
       const std::uint32_t o = corr.new_to_old[n];
       if (o == kNoCorrespondent) {
-        compute_node(n, active);
+        compute_node(n);
         continue;
       }
       MapChoice c = memo->choices[o];
@@ -296,34 +282,9 @@ Netlist map_to_sfq(const Aig& aig, const MapperParams& params,
       planned_neg[n] = c.config.output_neg ? 1 : 0;
       if (reuse != nullptr) ++reuse->cones_reused;
     }
-  } else if (level_parallel) {
-    // Level 0 is PIs/constants (no DP state); every level >= 1 is all AND
-    // nodes.  Narrow levels run inline — same rationale as cut enumeration.
-    const LevelSchedule& levels = parallel.cuts->levels;
-    WorkerPool& pool = *parallel.pool;
-    const int num_workers = pool.num_workers();
-    std::vector<std::vector<std::uint32_t>> active_scratch(
-        static_cast<std::size_t>(num_workers));
-    for (std::size_t l = 1; l < levels.num_levels(); ++l) {
-      const std::span<const std::uint32_t> ids = levels.level(l);
-      if (ids.size() < kMinParallelLevelNodes) {
-        for (const std::uint32_t id : ids) {
-          compute_node(id, active_scratch[0]);
-        }
-        continue;
-      }
-      pool.run([&](int w) {
-        const std::size_t begin = ids.size() * w / num_workers;
-        const std::size_t end = ids.size() * (w + 1) / num_workers;
-        for (std::size_t i = begin; i < end; ++i) {
-          compute_node(ids[i], active_scratch[static_cast<std::size_t>(w)]);
-        }
-      });
-    }
   } else {
-    std::vector<std::uint32_t> active;
     for (std::uint32_t n = 0; n < aig.num_nodes(); ++n) {
-      if (aig.is_and(n)) compute_node(n, active);
+      if (aig.is_and(n)) compute_node(n);
     }
   }
 

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <exception>
 #include <mutex>
+#include <numeric>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -28,8 +29,8 @@ std::uint64_t absorb(std::uint64_t acc, std::uint64_t value) {
   return mix64(acc ^ value);
 }
 
-/// Restores a scratch's `intra_threads` on scope exit (the sequential
-/// `run_many` paths borrow the engine scratch with a different setting).
+/// Restores a scratch's `intra_threads` on scope exit (sequential batches
+/// borrow the engine scratch with a different setting).
 struct IntraThreadsGuard {
   FlowScratch& scratch;
   int saved;
@@ -137,15 +138,10 @@ void FlowContext::fail(FlowStatus failure, std::string pass,
 bool MapPass::run(FlowContext& ctx) const {
   T1MAP_REQUIRE(ctx.aig != nullptr, "MapPass: context carries no source AIG");
   sfq::MapStats map_stats;
-  sfq::MapParallel parallel;
-  if (ctx.scratch != nullptr) {
-    parallel.pool = ctx.scratch->pool();
-    parallel.cuts = &ctx.scratch->par_cuts;
-  }
   sfq::MapReuse map_reuse;
   ctx.mapped = sfq::map_to_sfq(
       *ctx.aig, ctx.params.mapper, &map_stats,
-      ctx.scratch != nullptr ? &ctx.scratch->cuts : nullptr, parallel,
+      ctx.scratch != nullptr ? &ctx.scratch->cuts : nullptr,
       ctx.scratch != nullptr ? ctx.scratch->memo : nullptr, &map_reuse);
   ctx.reuse.map_cones_total = map_reuse.cones_total;
   ctx.reuse.map_cones_reused = map_reuse.cones_reused;
@@ -538,6 +534,35 @@ void for_each_with_scratch(
   if (first_error) std::rethrow_exception(first_error);
 }
 
+void FlowEngine::run_indices(std::span<const Aig* const> aigs,
+                             std::span<const std::size_t> indices,
+                             const FlowParams& params, int num_threads,
+                             std::vector<EngineResult>& results) {
+  if (indices.empty()) return;
+  // One thread budget, netlists first: the batch takes up to `num_threads`
+  // workers, and whatever the batch cannot absorb spills into each run's
+  // solver-pool CEC.
+  const int outer =
+      std::clamp(num_threads, 1, static_cast<int>(indices.size()));
+  const int intra = std::max(1, num_threads / outer);
+  if (outer == 1) {
+    // Sequential runs stay on the engine's own scratch so capacity keeps
+    // accumulating across run()/run_many() calls.
+    const IntraThreadsGuard guard(scratch_, intra);
+    for (const std::size_t i : indices) {
+      results[i] = run_with(pipeline_, *aigs[i], params, scratch_);
+    }
+    return;
+  }
+  for_each_with_scratch(
+      indices.size(), num_threads,
+      [&](std::size_t k, FlowScratch& scratch) {
+        const std::size_t i = indices[k];
+        results[i] = run_with(pipeline_, *aigs[i], params, scratch);
+      },
+      intra);
+}
+
 std::vector<EngineResult> FlowEngine::run_many(
     std::span<const Aig* const> aigs, const FlowParams& params,
     int num_threads) {
@@ -545,29 +570,9 @@ std::vector<EngineResult> FlowEngine::run_many(
     T1MAP_REQUIRE(aig != nullptr, "run_many: null AIG in batch");
   }
   std::vector<EngineResult> results(aigs.size());
-  if (aigs.empty()) return results;
-
-  // One thread budget, netlists first: the batch takes up to `num_threads`
-  // workers, and whatever the batch cannot absorb spills into the parallel
-  // sections inside each run.
-  const int outer =
-      std::clamp(num_threads, 1, static_cast<int>(aigs.size()));
-  const int intra = std::max(1, num_threads / outer);
-  if (outer == 1) {
-    // Sequential runs stay on the engine's own scratch so capacity keeps
-    // accumulating across run()/run_many() calls.
-    const IntraThreadsGuard guard(scratch_, intra);
-    for (std::size_t i = 0; i < aigs.size(); ++i) {
-      results[i] = run_with(pipeline_, *aigs[i], params, scratch_);
-    }
-    return results;
-  }
-  for_each_with_scratch(
-      aigs.size(), num_threads,
-      [&](std::size_t i, FlowScratch& scratch) {
-        results[i] = run_with(pipeline_, *aigs[i], params, scratch);
-      },
-      intra);
+  std::vector<std::size_t> all(aigs.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  run_indices(aigs, all, params, num_threads, results);
   return results;
 }
 
@@ -609,29 +614,11 @@ std::vector<EngineResult> FlowEngine::run_many(
     if (!duplicate) miss.push_back(i);
   }
 
-  if (!miss.empty()) {
-    const int outer =
-        std::clamp(num_threads, 1, static_cast<int>(miss.size()));
-    const int intra = std::max(1, num_threads / outer);
-    if (outer == 1) {
-      const IntraThreadsGuard guard(scratch_, intra);
-      for (const std::size_t i : miss) {
-        results[i] = run_with(pipeline_, *aigs[i], params, scratch_);
-      }
-    } else {
-      for_each_with_scratch(
-          miss.size(), num_threads,
-          [&](std::size_t m, FlowScratch& scratch) {
-            const std::size_t i = miss[m];
-            results[i] = run_with(pipeline_, *aigs[i], params, scratch);
-          },
-          intra);
-    }
-    // Only ok-results are offered: a failed run carries partial state that
-    // must not masquerade as a mapped design on a later hit.
-    for (const std::size_t i : miss) {
-      if (results[i].ok()) cache->store(keys[i], results[i]);
-    }
+  run_indices(aigs, miss, params, num_threads, results);
+  // Only ok-results are offered: a failed run carries partial state that
+  // must not masquerade as a mapped design on a later hit.
+  for (const std::size_t i : miss) {
+    if (results[i].ok()) cache->store(keys[i], results[i]);
   }
 
   // Aliases re-read through the cache so hit counters stay truthful; a

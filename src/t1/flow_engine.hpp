@@ -39,6 +39,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/worker_pool.hpp"
 #include "cut/cut_enum.hpp"
 #include "sat/cec.hpp"
 #include "sfq/netlist_sim.hpp"
@@ -128,11 +129,10 @@ struct FlowScratch {
   /// memo is single-threaded state.
   sfq::MapMemo* memo = nullptr;
 
-  /// Workers available for parallel sections *inside* passes (level-parallel
-  /// mapping, solver-pool CEC).  1 = serial.  Results are identical at any
-  /// setting; see cut/cut_enum.hpp and sat/cec.hpp for why.
+  /// Workers available for the parallel section *inside* a run: the
+  /// solver-pool CEC of `SatCecPass`.  1 = serial.  Results are identical
+  /// at any setting; see sat/cec.hpp for why.
   int intra_threads = 1;
-  ParallelCutScratch par_cuts;        // MapPass level-parallel buffers
   std::vector<sat::Solver> cec_solvers;  // SatCecPass per-helper arenas
 
   /// Lazily (re)built pool of `intra_threads` workers; nullptr when serial.
@@ -338,7 +338,7 @@ std::uint64_t fingerprint_string(std::string_view text);
 /// and the CLI's parallel configuration runner both sit on this.
 /// `intra_threads` is stamped on every worker's scratch: one `--threads`
 /// budget splits across items first, with the surplus spilled into the
-/// intra-pass parallel sections of each item.
+/// solver-pool CEC of each item.
 void for_each_with_scratch(
     std::size_t count, int workers,
     const std::function<void(std::size_t, FlowScratch&)>& fn,
@@ -422,8 +422,8 @@ class FlowEngine {
   bool incremental() const { return scratch_.memo != nullptr; }
 
   /// Total worker budget for this engine's runs.  `run` spends all of it on
-  /// intra-pass parallelism; `run_many` splits it across the batch first and
-  /// spills the surplus into passes (`threads / min(threads, batch)` each).
+  /// the solver-pool CEC; `run_many` splits it across the batch first and
+  /// spills the surplus into each run (`threads / min(threads, batch)`).
   /// Results never depend on the setting.
   void set_threads(int threads);
   int threads() const { return threads_; }
@@ -460,6 +460,15 @@ class FlowEngine {
                                const FlowParams& params, FlowScratch& scratch);
 
  private:
+  /// The dispatch both `run_many` overloads share: runs the pipeline on
+  /// `aigs[i]` for every `i` in `indices` into `results[i]`, splitting
+  /// `num_threads` across the indices first and spilling the surplus into
+  /// each run.  A single outer worker runs on this engine's scratch.
+  void run_indices(std::span<const Aig* const> aigs,
+                   std::span<const std::size_t> indices,
+                   const FlowParams& params, int num_threads,
+                   std::vector<EngineResult>& results);
+
   Pipeline pipeline_;
   FlowScratch scratch_;
   std::unique_ptr<sfq::MapMemo> memo_;  // scratch_.memo points here when on

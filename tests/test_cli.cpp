@@ -82,6 +82,13 @@ TEST(Cli, BenchModeEmitsStageTimings) {
   EXPECT_EQ(bench.at("bench").as_string(), "flow");
   EXPECT_EQ(bench.at("config").as_string(), "t1");
   EXPECT_EQ(bench.at("runs").as_number(), 2);
+  // The header names the host and build the timings came from.
+  ASSERT_TRUE(bench.contains("nproc"));
+  EXPECT_GE(bench.at("nproc").as_number(), 1);
+  ASSERT_TRUE(bench.contains("compiler"));
+  EXPECT_FALSE(bench.at("compiler").as_string().empty());
+  ASSERT_TRUE(bench.contains("build_type"));
+  EXPECT_TRUE(bench.at("build_type").is_string());
   const io::Json& circuit = bench.at("circuits").at("adder8");
   EXPECT_GT(circuit.at("stats").at("jj_total").as_number(), 0);
   const io::Json& stages = circuit.at("stages");

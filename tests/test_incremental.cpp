@@ -9,10 +9,12 @@
 //     and on random one-gate mutants;
 //   * a one-gate edit on mul8 reuses > 80% of the mapper's cones;
 //   * an exact re-run splices every mapper cone;
-//   * splicing stays bit-identical when the engine runs a worker pool.
+//   * splicing stays bit-identical when the engine has a worker budget.
 //
 // This binary has a custom main: `--threads N` (the TSan CI leg passes 4)
 // sets the engine worker budget for the determinism-under-splice test.
+// The mapper runs serially at any budget, so that test pins that the
+// budget never reaches the splice.
 
 #include <gtest/gtest.h>
 

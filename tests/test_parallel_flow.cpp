@@ -1,10 +1,10 @@
-// Intra-netlist parallelism tests (PR 7):
-//   * WorkerPool correctness: full id coverage, reuse across runs, chunk
-//     dealing, exception propagation;
-//   * the flow is bit-identical at 1 vs. N intra-pass threads (BLIF of the
-//     mapped and materialized netlists plus every statistic) on the seven
-//     golden generators and the deep cordic28 / log2_16 chains;
-//   * level-parallel cut enumeration reproduces the serial cut sets;
+// Intra-netlist parallelism tests:
+//   * WorkerPool correctness: full id coverage, reuse across runs,
+//     exception propagation;
+//   * the flow is bit-identical at 1 vs. N threads (BLIF of the mapped and
+//     materialized netlists plus every statistic) on the seven golden
+//     generators and the deep cordic28 / log2_16 chains: the thread count
+//     must never change a result;
 //   * solver-pool CEC: equivalent designs stay equivalent at every worker
 //     count; a seeded inequivalence reports the deterministic lowest
 //     failing output and an identical counterexample serial vs. pooled
@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "common/worker_pool.hpp"
-#include "cut/cut_enum.hpp"
 #include "gen/registry.hpp"
 #include "golden_flow.hpp"
 #include "io/blif.hpp"
@@ -68,56 +67,6 @@ TEST(WorkerPool, RethrowsWorkerException) {
   std::atomic<int> ok{0};
   pool.run([&](int) { ok.fetch_add(1); });
   EXPECT_EQ(ok.load(), 3);
-}
-
-TEST(WorkerPool, ForEachChunkCoversRangeExactlyOnce) {
-  WorkerPool pool(4);
-  const std::size_t count = 1003;
-  std::vector<std::atomic<int>> seen(count);
-  for (auto& s : seen) s.store(0);
-  for_each_chunk(&pool, count, 16,
-                 [&](std::size_t begin, std::size_t end, int) {
-                   for (std::size_t i = begin; i < end; ++i) {
-                     seen[i].fetch_add(1);
-                   }
-                 });
-  for (std::size_t i = 0; i < count; ++i) EXPECT_EQ(seen[i].load(), 1) << i;
-  // Null pool: inline single chunk.
-  int inline_calls = 0;
-  for_each_chunk(nullptr, 10, 4, [&](std::size_t b, std::size_t e, int w) {
-    EXPECT_EQ(b, 0u);
-    EXPECT_EQ(e, 10u);
-    EXPECT_EQ(w, 0);
-    ++inline_calls;
-  });
-  EXPECT_EQ(inline_calls, 1);
-}
-
-// --- Level-parallel cut enumeration ------------------------------------------
-
-TEST(ParallelCuts, MatchesSerialEnumeration) {
-  const Aig aig = gen::make_named("mul8");
-  const CutParams params{/*k=*/3, /*max_cuts=*/16};
-  CutWorkspace serial_ws;
-  enumerate_cuts_into(aig, params, serial_ws);
-
-  WorkerPool pool(4);
-  CutWorkspace par_ws;
-  ParallelCutScratch par;
-  enumerate_cuts_parallel(aig, params, par_ws, &pool, par);
-
-  ASSERT_EQ(serial_ws.cuts.size(), par_ws.cuts.size());
-  EXPECT_EQ(serial_ws.cuts.total_cuts(), par_ws.cuts.total_cuts());
-  for (std::uint32_t n = 0; n < serial_ws.cuts.size(); ++n) {
-    const auto a = serial_ws.cuts[n];
-    const auto b = par_ws.cuts[n];
-    ASSERT_EQ(a.size(), b.size()) << "node " << n;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_TRUE(a[i].leaves == b[i].leaves) << "node " << n;
-      EXPECT_EQ(a[i].sig, b[i].sig) << "node " << n;
-      EXPECT_TRUE(a[i].tt == b[i].tt) << "node " << n;
-    }
-  }
 }
 
 // --- Flow determinism at 1 vs N intra-pass threads ---------------------------
@@ -168,11 +117,9 @@ TEST(ParallelFlow, GoldenGeneratorsIdenticalAt4Threads) {
   }
 }
 
-// Deep chains: thousands of nodes across many narrow levels — the worst
-// case for level-parallel scheduling overhead, and the shape where a
-// nondeterministic reduction would show first.  (The issue's log2_24 does
-// not exist: the log2 generator only accepts power-of-two widths >= 4, so
-// log2_16 is the deep log2 representative.)
+// Deep chains: thousands of nodes across many topological levels.  (The
+// log2 generator only accepts power-of-two widths >= 4, so log2_16 is the
+// deep log2 representative.)
 TEST(ParallelFlow, DeepNetlistsIdenticalAt4Threads) {
   expect_threaded_flow_identical("cordic28");
   expect_threaded_flow_identical("log2_16");
