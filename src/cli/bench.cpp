@@ -213,7 +213,8 @@ int run_bench_nearduplicate(const Options& opts) {
       const t1::EngineResult ref = cold.run(mutant, params);
       T1MAP_REQUIRE(ref.ok(), "bench: cold flow failed on " + key + ": " +
                                   ref.diagnostics.first_error());
-      const std::string ref_stats = render_json(serve::flow_stats_json(ref.stats));
+      const std::string ref_stats =
+          render_json(serve::flow_stats_json(ref.stats));
 
       CircuitBench bench;
       t1::ReuseCounters reuse;
@@ -355,18 +356,16 @@ int run_bench(const Options& opts) {
                  bench.total.sum / static_cast<double>(bench.total.count),
                  opts.bench_runs);
   }
-  // Intra-netlist scaling sweep: each requested thread count re-times every
-  // circuit with the whole budget spent inside the run (solver-pool CEC;
-  // the mapping passes run serially) and lands as a NAME@tN entry.
-  // `total` is wall time; `total_cpu` adds the helper threads' busy time, so
-  // total_cpu/total ≈ utilized workers.  Stats must match the serial
-  // measurement bit-for-bit — checked here, every sweep, not just in tests.
+  // Engine thread-budget sweep: each requested thread count re-times every
+  // circuit on an engine with that budget and lands as a NAME@tN entry.  A
+  // single run is serial, so the entries re-measure the serial path.  Stats
+  // must match the serial measurement bit-for-bit — checked here, every
+  // sweep, not just in tests.
   for (const int threads : opts.bench_threads) {
     engine.set_threads(threads);
     for (std::size_t c = 0; c < circuits.size(); ++c) {
       const Aig& aig = aigs[c];
       CircuitBench bench;
-      StageSamples total_cpu;
       t1::FlowStats stats;
       for (int run = 0; run < opts.bench_runs; ++run) {
         const t1::EngineResult flow = engine.run(aig, params);
@@ -376,7 +375,6 @@ int run_bench(const Options& opts) {
         bench.map.add(flow.times.map);
         if (with_cec) bench.cec.add(flow.times.cec);
         bench.total.add(flow.times.total_wall);
-        total_cpu.add(flow.times.total_cpu);
         stats = flow.stats;
       }
       T1MAP_REQUIRE(
@@ -388,7 +386,6 @@ int run_bench(const Options& opts) {
       stages.set("map", bench.map.json());
       if (with_cec) stages.set("cec", bench.cec.json());
       stages.set("total", bench.total.json());
-      stages.set("total_cpu", total_cpu.json());
       io::Json entry = io::Json::object();
       entry.set("threads", threads);
       entry.set("stages", std::move(stages));

@@ -95,8 +95,6 @@ Options parse_options(int argc, const char* const* argv) {
       opts.run_cec = false;
     } else if (arg == "--threads") {
       opts.threads = parse_int(arg, value_of(i), 1, 256);
-    } else if (arg == "--sat-portfolio") {
-      opts.sat_portfolio = true;
     } else if (arg == "--skip-checks") {
       opts.skip_checks = true;
     } else if (arg == "--passes") {
@@ -282,10 +280,6 @@ Options parse_options(int argc, const char* const* argv) {
       throw UsageError("--json/--paper and the export options do not apply "
                        "to --serve (responses are always JSONL on stdout)");
     }
-    if (opts.sat_portfolio) {
-      throw UsageError("--sat-portfolio tunes report/bench CEC runs; serve "
-                       "jobs carry their own check configuration");
-    }
     if (!opts.incremental_from.empty()) {
       throw UsageError("--incremental-from is a report-mode option; serve "
                        "mode reuses cones across its request stream on its "
@@ -384,14 +378,9 @@ std::string usage() {
       "  --verify-rounds N           random-sim self-check rounds (default 8)\n"
       "  --threads N                 worker threads: report mode runs the\n"
       "                              configurations in parallel, bench mode\n"
-      "                              adds a batched run_many measurement.\n"
-      "                              Threads left over after one per netlist\n"
-      "                              spill into per-output CEC; results are\n"
-      "                              identical at every thread count\n"
-      "  --sat-portfolio             race two solver configurations on CEC\n"
-      "                              outputs that resist a lone proof\n"
-      "                              (needs spare intra-pass workers;\n"
-      "                              verdicts are unchanged)\n"
+      "                              adds a batched run_many measurement;\n"
+      "                              results are identical at every thread\n"
+      "                              count\n"
       "  --skip-checks               drop the verification passes (timing,\n"
       "                              random-sim, CEC) from the pipeline\n"
       "  --passes LIST               explicit pass pipeline, comma-separated\n"
@@ -412,10 +401,9 @@ std::string usage() {
       "  --bench-out FILE            bench output path ('-' = stdout;\n"
       "                              default BENCH_flow.json)\n"
       "  --bench-threads LIST        comma-separated thread counts (e.g.\n"
-      "                              1,2,4): re-times each circuit with the\n"
-      "                              whole budget inside the passes and\n"
-      "                              emits NAME@tN scaling entries with\n"
-      "                              wall vs. CPU totals\n"
+      "                              1,2,4): re-times each circuit on an\n"
+      "                              engine with that budget and emits\n"
+      "                              NAME@tN entries\n"
       "  --serve                     serve JSONL mapping requests (one JSON\n"
       "                              object per line; responses on stdout in\n"
       "                              request order; see README \"Serving\n"

@@ -88,7 +88,6 @@ t1::Pipeline build_pipeline(const Options& opts) {
 t1::FlowParams config_params(const std::string& key, const Options& opts) {
   t1::FlowParams params;
   params.verify_rounds = opts.verify_rounds;
-  params.sat_portfolio = opts.sat_portfolio;
   if (key == "baseline_1phi") {
     params.num_phases = 1;
     params.use_t1 = false;
@@ -124,17 +123,12 @@ std::vector<ConfigResult> run_configs(const Aig& aig,
       }
     }
   }
-  // Configurations first, surplus threads into the passes of each.
-  const int outer =
-      std::clamp(opts.threads, 1, static_cast<int>(keys.size()));
-  const int intra = std::max(1, opts.threads / outer);
   t1::for_each_with_scratch(
       keys.size(), opts.threads,
       [&](std::size_t i, t1::FlowScratch& scratch) {
         results[i] =
             run_one_config(pipeline, aig, keys[i], opts, scratch, prime);
-      },
-      intra);
+      });
   return results;
 }
 

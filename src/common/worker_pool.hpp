@@ -1,17 +1,15 @@
 /// \file worker_pool.hpp
-/// \brief Persistent worker-thread pool for intra-netlist parallelism.
+/// \brief Persistent worker-thread pool.
 ///
-/// `FlowEngine::run_many` spreads whole netlists over transient
-/// `std::thread`s; the solver-pool CEC instead needs workers inside one
-/// netlist's run, on every run, where thread start-up latency would add up.
-/// A `WorkerPool` therefore keeps its helpers alive across `run` calls: one
-/// pool per `FlowScratch` serves the CEC of every run on that scratch.
+/// A `WorkerPool` keeps its helper threads alive across `run` calls, so
+/// work spread over workers on every call does not pay thread start-up
+/// each time.  No flow path runs one any more (CEC is a serial sweep); it
+/// stays as the type of the ignored `sat::CecOptions::pool` field.
 ///
 /// The calling thread always participates as worker 0, so a pool of N
 /// workers spawns only N-1 threads and `WorkerPool(1)` spawns none (every
 /// `run` is then an inline call).  Helper busy time is accounted in
-/// `busy_ns()`, which is how `StageTimes::total_cpu` separates CPU cost from
-/// wall time.
+/// `busy_ns()`.
 
 #pragma once
 

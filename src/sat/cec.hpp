@@ -6,12 +6,20 @@
 /// equivalence.  This complements random simulation: the flow's tests run
 /// both on every transformation.
 ///
-/// The miter is refuted output pair by output pair, which makes the check
-/// parallel over outputs: with a `WorkerPool`, each worker re-encodes the
-/// CNF into its own solver and claims pairs from a shared queue, with the
-/// remaining proofs cancelled once a counterexample is found.  Verdicts,
-/// the failing output index, and the counterexample are bit-for-bit
-/// independent of the worker count (see `CecOptions`).
+/// The check is a serial SAT sweep (Kuehlmann & Krohm, DAC'97; Mishchenko
+/// et al., ICCAD'06) on one incremental solver:
+///   1. encode the miter once, keeping a literal per node of both designs;
+///   2. simulate both designs on a few fixed-seed 64-pattern words and
+///      group nodes whose signatures agree up to complement;
+///   3. walk the second design's nodes in topological order and prove each
+///      against the earliest earlier member of its group under a fixed
+///      per-pair conflict cap: a proven pair adds its two implied binary
+///      clauses, a refuted pair's model splits the groups, an unknown pair
+///      is skipped;
+///   4. refute the miter output pair by output pair.
+/// The sweep only adds implied clauses and takes no hint from the mapper.
+/// With an unlimited budget the verdict, the failing output and the
+/// counterexample are therefore those of the plain per-output check.
 
 #pragma once
 
@@ -19,7 +27,7 @@
 #include <vector>
 
 #include "aig/aig.hpp"
-#include "common/worker_pool.hpp"
+#include "common/worker_pool.hpp"  // CecOptions::pool (ignored)
 #include "sat/solver.hpp"
 #include "sfq/netlist.hpp"
 
@@ -37,27 +45,23 @@ struct CecResult {
   /// differing output; for kUnknown the output whose proof exhausted the
   /// conflict budget; -1 for kEquivalent.
   std::int32_t failing_output = -1;
-  /// Total conflicts consumed across all per-output solves.  Informational:
-  /// unlike the verdict fields it may vary with the worker count.
+  /// Total conflicts consumed by the sweep and the per-output solves.
   std::int64_t conflicts = 0;
+  /// Internal node pairs the sweep proved equivalent and merged.
+  std::uint32_t proven_pairs = 0;
 };
 
 /// Tuning of one equivalence check.
 struct CecOptions {
-  /// Shared conflict budget across *all* output pairs (a single countdown,
-  /// not per pair); < 0 = unlimited.  A finite budget forces the serial
-  /// path, so which output exhausts it stays deterministic.
+  /// Shared conflict budget across the whole check (a single countdown over
+  /// the sweep and all output pairs); < 0 = unlimited.  The sweep stops
+  /// once it reaches 0, and the output pair that exhausts it is reported.
   std::int64_t conflict_limit = -1;
-  /// Workers for per-output parallel solving; null (or a 1-worker pool)
-  /// solves serially on the caller's solver.
+  /// Ignored; kept for perfbench.  The check is serial.
   WorkerPool* pool = nullptr;
-  /// Per-helper solver arenas reused across checks (resized as needed);
-  /// optional — without it, helpers construct local solvers per call.
+  /// Ignored; kept for perfbench.
   std::vector<Solver>* worker_solvers = nullptr;
-  /// Race two solver configurations (opposite default phase, perturbed
-  /// branch order) on each output whose lone proof exceeds a conflict
-  /// trigger, cancelling the loser.  Needs a pool with >= 2 workers
-  /// (ignored otherwise); verdicts are identical either way.
+  /// Ignored; kept for perfbench.
   bool portfolio = false;
 };
 
@@ -71,7 +75,7 @@ CecResult check_equivalence(const Aig& aig, const sfq::Netlist& ntk,
 CecResult check_equivalence(const Aig& aig, const sfq::Netlist& ntk,
                             std::int64_t conflict_limit, Solver& solver);
 
-/// Fully-optioned AIG-vs-netlist check (solver pool, portfolio, budget).
+/// Fully-optioned AIG-vs-netlist check.
 CecResult check_equivalence(const Aig& aig, const sfq::Netlist& ntk,
                             const CecOptions& options, Solver& solver);
 

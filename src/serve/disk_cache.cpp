@@ -1,6 +1,7 @@
 #include "serve/disk_cache.hpp"
 
 #include <fcntl.h>
+#include <sys/file.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -132,13 +133,45 @@ DiskCache::DiskCache(DiskCacheConfig config) : config_(std::move(config)) {
                          ec.message());
   records_path_ = config_.dir + "/records.t1c";
   index_path_ = config_.dir + "/index.t1c";
-  open_files();
-  recover_index();
+  lock_directory();
+  try {
+    open_files();
+    recover_index();
+  } catch (...) {
+    close_files();
+    throw;
+  }
 }
 
-DiskCache::~DiskCache() {
+DiskCache::~DiskCache() { close_files(); }
+
+void DiskCache::lock_directory() {
+  // One writer per directory: two caches appending to one log would
+  // interleave records.  An flock lives as long as its open file
+  // description, so a crashed owner releases it with its process.
+  const std::string lock_path = config_.dir + "/lock";
+  lock_fd_ = ::open(lock_path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+  T1MAP_REQUIRE(lock_fd_ >= 0, "cannot open cache lock file " + lock_path +
+                                   ": " + std::strerror(errno));
+  if (::flock(lock_fd_, LOCK_EX | LOCK_NB) != 0) {
+    const int err = errno;
+    ::close(lock_fd_);
+    lock_fd_ = -1;
+    const bool held_elsewhere = err == EWOULDBLOCK;
+    T1MAP_REQUIRE(!held_elsewhere,
+                  "cache directory " + config_.dir +
+                      " is in use by another cache (lock held on " +
+                      lock_path + ")");
+    T1MAP_REQUIRE(false, "cannot lock cache directory " + config_.dir +
+                             ": " + std::strerror(err));
+  }
+}
+
+void DiskCache::close_files() {
   if (records_fd_ >= 0) ::close(records_fd_);
   if (index_fd_ >= 0) ::close(index_fd_);
+  if (lock_fd_ >= 0) ::close(lock_fd_);  // releases the flock
+  records_fd_ = index_fd_ = lock_fd_ = -1;
 }
 
 void DiskCache::open_files() {

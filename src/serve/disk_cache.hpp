@@ -2,7 +2,8 @@
 /// \brief Disk-backed, log-structured flow-result store — the persistent
 /// second cache tier behind `--cache-dir`.
 ///
-/// Layout (two files in the cache directory):
+/// Layout (two data files in the cache directory, plus an empty `lock`
+/// file whose exclusive `flock` the open cache holds):
 ///
 ///   records.t1c   append-only record log.  8-byte header (magic,
 ///                 version), then back-to-back records:
@@ -58,9 +59,10 @@ struct DiskCacheConfig {
 
 class DiskCache final : public CacheTier {
  public:
-  /// Opens (or creates) the store and recovers the index.  Throws
-  /// `ContractError` when the directory is unusable or holds an
-  /// incompatible cache.
+  /// Opens (or creates) the store, locks the directory and recovers the
+  /// index.  Throws `ContractError` when the directory is unusable, holds
+  /// an incompatible cache, or is locked by another `DiskCache` (in this
+  /// process or another); the destructor releases the lock.
   explicit DiskCache(DiskCacheConfig config);
   ~DiskCache() override;
 
@@ -89,14 +91,17 @@ class DiskCache final : public CacheTier {
     }
   };
 
+  void lock_directory();
   void open_files();
   void recover_index();
+  void close_files();
 
   DiskCacheConfig config_;
   std::string records_path_;
   std::string index_path_;
   int records_fd_ = -1;
   int index_fd_ = -1;
+  int lock_fd_ = -1;  // holds flock(LOCK_EX) on <dir>/lock
 
   mutable std::mutex mu_;  // index map + append path
   std::unordered_map<t1::RunKey, Loc, KeyHash> index_;

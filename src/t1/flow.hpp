@@ -42,9 +42,7 @@ struct FlowParams {
   /// Conflict budget of the SAT CEC pass when the pipeline includes it
   /// (flow_engine.hpp); < 0 = unlimited.
   std::int64_t cec_conflict_limit = -1;
-  /// Race two solver configurations on hard CEC outputs (sat/cec.hpp).
-  /// Strategy-only: needs intra-pass workers to take effect and never
-  /// changes verdicts, so it is excluded from `params_fingerprint`.
+  /// Ignored; kept for perfbench.  CEC is serial (sat/cec.hpp).
   bool sat_portfolio = false;
 };
 
@@ -70,11 +68,7 @@ struct StageTimes {
   double dff_insert = 0.0;   // DFF materialization (§II-C)
   double self_check = 0.0;   // timing validation + random-sim equivalence
   double cec = 0.0;          // SAT CEC, when the pipeline includes the pass
-  /// Wall-clock of the whole pipeline vs. total CPU time including the
-  /// intra-pass worker threads (equal when running serially).  The gap is
-  /// what `--bench-threads` reports as parallel efficiency.
-  double total_wall = 0.0;
-  double total_cpu = 0.0;
+  double total_wall = 0.0;   // wall-clock of the whole pipeline
 };
 
 struct FlowResult {

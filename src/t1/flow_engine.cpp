@@ -29,32 +29,7 @@ std::uint64_t absorb(std::uint64_t acc, std::uint64_t value) {
   return mix64(acc ^ value);
 }
 
-/// Restores a scratch's `intra_threads` on scope exit (sequential batches
-/// borrow the engine scratch with a different setting).
-struct IntraThreadsGuard {
-  FlowScratch& scratch;
-  int saved;
-  IntraThreadsGuard(FlowScratch& s, int intra) : scratch(s), saved(s.intra_threads) {
-    scratch.intra_threads = std::max(1, intra);
-  }
-  ~IntraThreadsGuard() { scratch.intra_threads = saved; }
-};
-
 }  // namespace
-
-// --- FlowScratch -------------------------------------------------------------
-
-WorkerPool* FlowScratch::pool() {
-  if (intra_threads <= 1) return nullptr;
-  if (pool_ == nullptr || pool_->num_workers() != intra_threads) {
-    pool_ = std::make_unique<WorkerPool>(intra_threads);
-  }
-  return pool_.get();
-}
-
-std::uint64_t FlowScratch::pool_busy_ns() const {
-  return pool_ != nullptr ? pool_->busy_ns() : 0;
-}
 
 // --- Diagnostics -------------------------------------------------------------
 
@@ -241,19 +216,13 @@ bool SatCecPass::run(FlowContext& ctx) const {
                                       "(run dff before cec)");
   T1MAP_REQUIRE(ctx.aig != nullptr, "SatCecPass: context carries no source "
                                     "AIG");
-  sat::CecResult result;
-  if (ctx.scratch != nullptr) {
-    sat::CecOptions options;
-    options.conflict_limit = ctx.params.cec_conflict_limit;
-    options.pool = ctx.scratch->pool();
-    options.worker_solvers = &ctx.scratch->cec_solvers;
-    options.portfolio = ctx.params.sat_portfolio;
-    result = sat::check_equivalence(*ctx.aig, ctx.materialized.netlist,
-                                    options, ctx.scratch->solver);
-  } else {
-    result = sat::check_equivalence(*ctx.aig, ctx.materialized.netlist,
-                                    ctx.params.cec_conflict_limit);
-  }
+  const sat::CecResult result =
+      ctx.scratch != nullptr
+          ? sat::check_equivalence(*ctx.aig, ctx.materialized.netlist,
+                                   ctx.params.cec_conflict_limit,
+                                   ctx.scratch->solver)
+          : sat::check_equivalence(*ctx.aig, ctx.materialized.netlist,
+                                   ctx.params.cec_conflict_limit);
   ctx.cec = cec_verdict_name(result.verdict);
   if (result.verdict == sat::CecResult::Verdict::kNotEquivalent) {
     ctx.fail(FlowStatus::kNotEquivalent, name(),
@@ -392,9 +361,7 @@ std::uint64_t params_fingerprint(const FlowParams& params) {
   h = absorb(h, static_cast<std::uint64_t>(params.mapper.cuts.max_cuts));
   h = absorb(h, static_cast<std::uint64_t>(params.verify_rounds));
   h = absorb(h, static_cast<std::uint64_t>(params.cec_conflict_limit));
-  // Deliberately excluded: `sat_portfolio` — a search-strategy knob that
-  // never changes the mapped netlist, statistics, or verdicts, so results
-  // computed with and without it are cache-interchangeable.
+  // Deliberately excluded: `sat_portfolio`, which nothing reads.
   return h;
 }
 
@@ -443,12 +410,6 @@ EngineResult FlowEngine::run_with(const Pipeline& pipeline, const Aig& aig,
   ctx.scratch = &scratch;
 
   const Clock::time_point flow_start = Clock::now();
-  // Resolve the pool for the current `intra_threads` *before* sampling its
-  // busy counter: a pass-triggered rebuild (thread count changed since the
-  // last run on this scratch) would reset busy_ns to 0 and make the delta
-  // below underflow.
-  scratch.pool();
-  const std::uint64_t busy_before = scratch.pool_busy_ns();
   for (std::size_t i = 0; i < pipeline.size(); ++i) {
     const Pass& pass = pipeline[i];
     const Clock::time_point t0 = Clock::now();
@@ -459,15 +420,7 @@ EngineResult FlowEngine::run_with(const Pipeline& pipeline, const Aig& aig,
       break;
     }
   }
-  // Wall vs. CPU: the helpers' busy time on top of the caller's wall time.
-  // Serial runs report them equal; the `--bench-threads` harness derives
-  // parallel efficiency from the gap.
   ctx.times.total_wall = seconds_between(flow_start, Clock::now());
-  const std::uint64_t busy_after = scratch.pool_busy_ns();
-  const std::uint64_t busy_delta =
-      busy_after >= busy_before ? busy_after - busy_before : busy_after;
-  ctx.times.total_cpu =
-      ctx.times.total_wall + static_cast<double>(busy_delta) * 1e-9;
 
   EngineResult result;
   result.status = ctx.status;
@@ -486,21 +439,13 @@ EngineResult FlowEngine::run(const Aig& aig, const FlowParams& params) {
   return run_with(pipeline_, aig, params, scratch_);
 }
 
-void FlowEngine::set_threads(int threads) {
-  threads_ = std::max(1, threads);
-  scratch_.intra_threads = threads_;
-}
-
 void for_each_with_scratch(
     std::size_t count, int workers,
-    const std::function<void(std::size_t, FlowScratch&)>& fn,
-    int intra_threads) {
+    const std::function<void(std::size_t, FlowScratch&)>& fn) {
   if (count == 0) return;
   workers = std::clamp(workers, 1, static_cast<int>(count));
-  intra_threads = std::max(1, intra_threads);
   if (workers == 1) {
     FlowScratch scratch;
-    scratch.intra_threads = intra_threads;
     for (std::size_t i = 0; i < count; ++i) fn(i, scratch);
     return;
   }
@@ -513,7 +458,6 @@ void for_each_with_scratch(
   std::exception_ptr first_error;
   const auto worker = [&]() {
     FlowScratch scratch;
-    scratch.intra_threads = intra_threads;
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= count) return;
@@ -539,28 +483,20 @@ void FlowEngine::run_indices(std::span<const Aig* const> aigs,
                              const FlowParams& params, int num_threads,
                              std::vector<EngineResult>& results) {
   if (indices.empty()) return;
-  // One thread budget, netlists first: the batch takes up to `num_threads`
-  // workers, and whatever the batch cannot absorb spills into each run's
-  // solver-pool CEC.
-  const int outer =
-      std::clamp(num_threads, 1, static_cast<int>(indices.size()));
-  const int intra = std::max(1, num_threads / outer);
-  if (outer == 1) {
+  if (num_threads <= 1 || indices.size() == 1) {
     // Sequential runs stay on the engine's own scratch so capacity keeps
     // accumulating across run()/run_many() calls.
-    const IntraThreadsGuard guard(scratch_, intra);
     for (const std::size_t i : indices) {
       results[i] = run_with(pipeline_, *aigs[i], params, scratch_);
     }
     return;
   }
-  for_each_with_scratch(
-      indices.size(), num_threads,
-      [&](std::size_t k, FlowScratch& scratch) {
-        const std::size_t i = indices[k];
-        results[i] = run_with(pipeline_, *aigs[i], params, scratch);
-      },
-      intra);
+  for_each_with_scratch(indices.size(), num_threads,
+                        [&](std::size_t k, FlowScratch& scratch) {
+                          const std::size_t i = indices[k];
+                          results[i] =
+                              run_with(pipeline_, *aigs[i], params, scratch);
+                        });
 }
 
 std::vector<EngineResult> FlowEngine::run_many(

@@ -129,19 +129,10 @@ struct FlowScratch {
   /// memo is single-threaded state.
   sfq::MapMemo* memo = nullptr;
 
-  /// Workers available for the parallel section *inside* a run: the
-  /// solver-pool CEC of `SatCecPass`.  1 = serial.  Results are identical
-  /// at any setting; see sat/cec.hpp for why.
-  int intra_threads = 1;
-  std::vector<sat::Solver> cec_solvers;  // SatCecPass per-helper arenas
-
-  /// Lazily (re)built pool of `intra_threads` workers; nullptr when serial.
-  WorkerPool* pool();
-  /// Helper-thread busy nanoseconds accumulated so far (0 when serial).
-  std::uint64_t pool_busy_ns() const;
-
- private:
-  std::unique_ptr<WorkerPool> pool_;
+  /// Ignored; kept for perfbench.  A run is serial.
+  std::vector<sat::Solver> cec_solvers;
+  /// Ignored; kept for perfbench.  Always null: a run is serial.
+  WorkerPool* pool() { return nullptr; }
 };
 
 /// The shared state a pipeline evolves.  Passes read what upstream passes
@@ -336,13 +327,9 @@ std::uint64_t fingerprint_string(std::string_view text);
 /// `FlowScratch` per worker, and rethrows the first worker exception on the
 /// caller.  `fn` must write only index-distinct state.  `FlowEngine::run_many`
 /// and the CLI's parallel configuration runner both sit on this.
-/// `intra_threads` is stamped on every worker's scratch: one `--threads`
-/// budget splits across items first, with the surplus spilled into the
-/// solver-pool CEC of each item.
 void for_each_with_scratch(
     std::size_t count, int workers,
-    const std::function<void(std::size_t, FlowScratch&)>& fn,
-    int intra_threads = 1);
+    const std::function<void(std::size_t, FlowScratch&)>& fn);
 
 // --- Pipeline ----------------------------------------------------------------
 
@@ -421,12 +408,9 @@ class FlowEngine {
   void set_incremental(bool enabled);
   bool incremental() const { return scratch_.memo != nullptr; }
 
-  /// Total worker budget for this engine's runs.  `run` spends all of it on
-  /// the solver-pool CEC; `run_many` splits it across the batch first and
-  /// spills the surplus into each run (`threads / min(threads, batch)`).
-  /// Results never depend on the setting.
-  void set_threads(int threads);
-  int threads() const { return threads_; }
+  /// Ignored; kept for perfbench.  A run is serial, and `run_many` takes
+  /// its worker count as an argument.
+  void set_threads(int /*threads*/) {}
 
   /// Runs the pipeline on one AIG, reusing this engine's scratch.
   EngineResult run(const Aig& aig, const FlowParams& params = {});
@@ -472,7 +456,6 @@ class FlowEngine {
   Pipeline pipeline_;
   FlowScratch scratch_;
   std::unique_ptr<sfq::MapMemo> memo_;  // scratch_.memo points here when on
-  int threads_ = 1;
 };
 
 }  // namespace t1map::t1

@@ -1,8 +1,9 @@
 // The persistent cache tier: the binary result codec (round-trip,
 // corruption rejection), the log-structured DiskCache (reopen warm
 // start, torn-tail crash recovery, checksum self-healing, capacity
-// rejection), and the TieredCache composition (promotion, write-through,
-// concurrent two-tier hammering — the TSan CI leg runs this suite).
+// rejection, one open cache per directory), and the TieredCache
+// composition (promotion, write-through, concurrent two-tier hammering —
+// the TSan CI leg runs this suite).
 
 #include <gtest/gtest.h>
 
@@ -284,6 +285,25 @@ TEST(DiskCache, RejectsForeignAndIncompatibleFiles) {
   fs::remove_all(dir);
 }
 
+TEST(DiskCache, SecondOpenOfALockedDirectoryThrows) {
+  const fs::path dir = fresh_dir("disk_lock");
+  serve::DiskCacheConfig config;
+  config.dir = dir.string();
+  {
+    serve::DiskCache first(config);
+    try {
+      serve::DiskCache second(config);
+      ADD_FAILURE() << "second DiskCache on a locked directory opened";
+    } catch (const ContractError& e) {
+      EXPECT_NE(std::string(e.what()).find(dir.string()), std::string::npos)
+          << e.what();
+    }
+  }
+  // The first cache's destructor released the lock.
+  EXPECT_NO_THROW(serve::DiskCache{config});
+  fs::remove_all(dir);
+}
+
 // --- TieredCache -------------------------------------------------------------
 
 TEST(TieredCache, PromotesDiskHitsIntoMemory) {
@@ -377,11 +397,11 @@ TEST(TieredCache, ConcurrentTwoTierHammering) {
     ASSERT_TRUE(results.back().ok());
   }
 
-  serve::TieredCache tiers;
-  tiers.add_tier(std::make_unique<serve::FlowCache>());
   serve::DiskCacheConfig config;
   config.dir = dir.string();
-  tiers.add_tier(std::make_unique<serve::DiskCache>(config));
+  auto tiers = std::make_unique<serve::TieredCache>();
+  tiers->add_tier(std::make_unique<serve::FlowCache>());
+  tiers->add_tier(std::make_unique<serve::DiskCache>(config));
 
   constexpr int kThreads = 8;
   constexpr int kIters = 100;
@@ -392,12 +412,12 @@ TEST(TieredCache, ConcurrentTwoTierHammering) {
       for (int i = 0; i < kIters; ++i) {
         const std::size_t j = static_cast<std::size_t>(t + i) % keys.size();
         t1::EngineResult out;
-        if (tiers.lookup(keys[j], out)) {
+        if (tiers->lookup(keys[j], out)) {
           if (out.stats.area_jj != results[j].stats.area_jj) {
             ++mismatches[t];
           }
         } else {
-          tiers.store(keys[j], results[j]);
+          tiers->store(keys[j], results[j]);
         }
       }
     });
@@ -405,15 +425,18 @@ TEST(TieredCache, ConcurrentTwoTierHammering) {
   for (std::thread& t : threads) t.join();
   for (const int m : mismatches) EXPECT_EQ(m, 0);
 
-  const t1::CacheStats c = tiers.stats();
+  const t1::CacheStats c = tiers->stats();
   EXPECT_EQ(c.hits + c.misses,
             static_cast<std::uint64_t>(kThreads) * kIters);
   EXPECT_GT(c.hits, 0u);
-  EXPECT_LE(tiers.tier(1).stats().entries, names.size());
+  EXPECT_LE(tiers->tier(1).stats().entries, names.size());
 
-  // Everything the hammer stored is recoverable by a fresh disk tier.
+  // Everything the hammer stored is recoverable by a fresh disk tier, once
+  // the hammered one has released the directory.
+  const std::uint64_t stored = tiers->tier(1).stats().entries;
+  tiers.reset();
   serve::DiskCache reopened(config);
-  EXPECT_EQ(reopened.recovered_entries(), tiers.tier(1).stats().entries);
+  EXPECT_EQ(reopened.recovered_entries(), stored);
   fs::remove_all(dir);
 }
 

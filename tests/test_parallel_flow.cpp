@@ -5,10 +5,11 @@
 //     materialized netlists plus every statistic) on the seven golden
 //     generators and the deep cordic28 / log2_16 chains: the thread count
 //     must never change a result;
-//   * solver-pool CEC: equivalent designs stay equivalent at every worker
-//     count; a seeded inequivalence reports the deterministic lowest
-//     failing output and an identical counterexample serial vs. pooled
-//     vs. portfolio; finite budgets stay deterministic.
+//   * CEC with the (ignored) pool and portfolio options set: equivalent
+//     designs stay equivalent, a seeded inequivalence reports the lowest
+//     failing output and the same counterexample as a plain check, and
+//     finite budgets stay deterministic.  CEC is serial; these pin that
+//     the options are inert.
 //
 // This suite runs under TSan in CI — the threaded paths here are the data
 // they validate.
@@ -125,8 +126,8 @@ TEST(ParallelFlow, DeepNetlistsIdenticalAt4Threads) {
   expect_threaded_flow_identical("log2_16");
 }
 
-// The one-knob split: run_many over a batch smaller than the budget spills
-// the surplus into the passes; results must match the serial batch.
+// run_many over a batch smaller than its thread budget must match the
+// serial batch.
 TEST(ParallelFlow, RunManySpillIdentical) {
   const Aig a = gen::make_named("adder16");
   const Aig b = gen::make_named("voter25");
@@ -137,7 +138,7 @@ TEST(ParallelFlow, RunManySpillIdentical) {
 
   t1::FlowEngine engine;
   const auto serial = engine.run_many(batch, params, 1);
-  const auto spilled = engine.run_many(batch, params, 8);  // 3 outer, 2 intra
+  const auto spilled = engine.run_many(batch, params, 8);  // 3 workers
   ASSERT_EQ(serial.size(), spilled.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     ASSERT_TRUE(serial[i].ok() && spilled[i].ok()) << i;

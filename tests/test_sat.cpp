@@ -1,13 +1,18 @@
 // CDCL solver tests: unit propagation, conflicts, models, random 3-CNF
-// cross-checked against brute force, and Tseitin/AIG-CEC smoke tests.
+// cross-checked against brute force, Tseitin/AIG-CEC smoke tests, and the
+// SAT sweep of the CEC: merges only what it proves, and a seeded netlist
+// fault is still caught at the right output.
 
 #include <gtest/gtest.h>
 
 #include "aig/aig.hpp"
+#include "aig/aig_sim.hpp"
 #include "common/rng.hpp"
+#include "gen/registry.hpp"
 #include "sat/cec.hpp"
 #include "sat/cnf.hpp"
 #include "sat/solver.hpp"
+#include "t1/flow_engine.hpp"
 
 namespace t1map::sat {
 namespace {
@@ -317,6 +322,173 @@ TEST(Cec, ConflictLimitReturnsUnknownOrAnswer) {
   const CecResult r = check_equivalence(x, y, /*conflict_limit=*/1);
   EXPECT_TRUE(r.verdict == CecResult::Verdict::kEquivalent ||
               r.verdict == CecResult::Verdict::kUnknown);
+}
+
+// --- SAT sweep ---------------------------------------------------------------
+
+/// 32 PIs; the single PO is their AND, or constant 0.  The sweep's few
+/// hundred random patterns all but never set every input, so the deep AND
+/// nodes look constant and land in constant 0's candidate class.  (With 16
+/// PIs one pattern in 65536 is all-ones, and the fixed simulation seed
+/// happens to draw one.)
+constexpr int kConjPis = 32;
+
+Aig conj_or_zero(bool zero) {
+  Aig aig;
+  Lit acc = Aig::kConst1;
+  for (int i = 0; i < kConjPis; ++i) {
+    acc = aig.create_and(acc, aig.create_pi());
+  }
+  aig.create_po(zero ? Aig::kConst0 : acc);
+  return aig;
+}
+
+sfq::Netlist conj_or_zero_netlist(bool zero) {
+  sfq::Netlist ntk;
+  std::uint32_t acc = ntk.add_pi();
+  for (int i = 1; i < kConjPis; ++i) {
+    acc = ntk.add_cell(sfq::CellKind::kAnd2, {acc, ntk.add_pi()});
+  }
+  ntk.add_po(zero ? ntk.add_const(false) : acc);
+  return ntk;
+}
+
+void expect_refuted_by_all_ones(const CecResult& r, const char* what) {
+  EXPECT_EQ(r.verdict, CecResult::Verdict::kNotEquivalent) << what;
+  EXPECT_EQ(r.failing_output, 0) << what;
+  EXPECT_EQ(r.counterexample, std::vector<bool>(kConjPis, true)) << what;
+}
+
+// A sweep that merged on signature instead of on proof would call these
+// equivalent.
+TEST(CecSweep, SimulationLookalikesAreNotMerged) {
+  const Aig conj = conj_or_zero(false);
+  const Aig zero = conj_or_zero(true);
+  expect_refuted_by_all_ones(check_equivalence(conj, zero), "and vs 0");
+  expect_refuted_by_all_ones(check_equivalence(zero, conj), "0 vs and");
+  expect_refuted_by_all_ones(
+      check_equivalence(conj, conj_or_zero_netlist(true)),
+      "and vs netlist 0");
+  expect_refuted_by_all_ones(
+      check_equivalence(zero, conj_or_zero_netlist(false)),
+      "0 vs netlist and");
+}
+
+/// Copy of `src` with node `target` turned into a cell of kind `kind`.
+/// Node ids are preserved.
+sfq::Netlist with_cell_kind(const sfq::Netlist& src, std::uint32_t target,
+                            sfq::CellKind kind) {
+  sfq::Netlist out;
+  std::uint32_t pi_index = 0;
+  for (std::uint32_t id = 0; id < src.num_nodes(); ++id) {
+    const auto f = src.fanins(id);
+    const sfq::CellKind k = id == target ? kind : src.kind(id);
+    if (src.is_pi(id)) {
+      out.add_pi(src.pi_name(pi_index++));
+    } else if (src.is_const(id)) {
+      out.add_const(k == sfq::CellKind::kConst1);
+    } else if (src.is_t1(id)) {
+      out.add_t1(f[0], f[1], f[2]);
+    } else if (src.is_tap(id)) {
+      out.add_t1_tap(f[0], k);
+    } else {
+      out.add_cell(k, f);
+    }
+  }
+  for (const auto& po : src.pos()) out.add_po(po.driver, po.name);
+  return out;
+}
+
+/// Exhaustive PO words of a 16-PI design: word w holds patterns
+/// 64w .. 64w+63, PI i set in pattern p iff bit i of p is.
+template <class Sim>
+std::vector<std::vector<std::uint64_t>> exhaustive16(const Sim& simulate) {
+  std::vector<std::vector<std::uint64_t>> out;
+  std::vector<std::uint64_t> pi_words(16);
+  for (std::uint64_t w = 0; w < (1u << 16) / 64; ++w) {
+    for (int i = 0; i < 16; ++i) {
+      std::uint64_t word = 0;
+      for (int b = 0; b < 64; ++b) {
+        if ((((w << 6) | static_cast<std::uint64_t>(b)) >> i) & 1u) {
+          word |= 1ull << b;
+        }
+      }
+      pi_words[i] = word;
+    }
+    out.push_back(simulate(pi_words));
+  }
+  return out;
+}
+
+/// The lowest PO on which the two exhaustive simulations differ, or -1.
+int lowest_differing_po(const std::vector<std::vector<std::uint64_t>>& a,
+                        const std::vector<std::vector<std::uint64_t>>& b) {
+  int lowest = -1;
+  for (std::size_t w = 0; w < a.size(); ++w) {
+    for (std::size_t po = 0; po < a[w].size(); ++po) {
+      if (a[w][po] != b[w][po] &&
+          (lowest < 0 || static_cast<int>(po) < lowest)) {
+        lowest = static_cast<int>(po);
+      }
+    }
+  }
+  return lowest;
+}
+
+t1::EngineResult map_mul8_t1(const Aig& aig) {
+  t1::FlowEngine engine;
+  t1::FlowParams params;  // 4 phases, T1 on
+  params.verify_rounds = 0;
+  t1::EngineResult flow = engine.run(aig, params);
+  EXPECT_TRUE(flow.ok());
+  return flow;
+}
+
+TEST(CecSweep, SeededNetlistFaultIsCaughtAtTheLowestAffectedPo) {
+  const Aig aig = gen::make_named("mul8");
+  ASSERT_EQ(aig.num_pis(), 16u);
+  const t1::EngineResult flow = map_mul8_t1(aig);
+  const sfq::Netlist& good = flow.materialized.netlist;
+  const auto reference = exhaustive16(
+      [&](std::span<const std::uint64_t> w) { return simulate(aig, w); });
+
+  // The first internal AND2 whose change to OR2 reaches an output.
+  for (std::uint32_t id = 0; id < good.num_nodes(); ++id) {
+    if (good.kind(id) != sfq::CellKind::kAnd2) continue;
+    const sfq::Netlist bad = with_cell_kind(good, id, sfq::CellKind::kOr2);
+    const int expected = lowest_differing_po(
+        reference, exhaustive16([&](std::span<const std::uint64_t> w) {
+          return bad.simulate(w);
+        }));
+    if (expected < 0) continue;  // masked: try the next cell
+
+    const CecResult r = check_equivalence(aig, bad);
+    ASSERT_EQ(r.verdict, CecResult::Verdict::kNotEquivalent) << id;
+    EXPECT_EQ(r.failing_output, expected) << id;
+    ASSERT_EQ(r.counterexample.size(), 16u);
+    std::vector<std::uint64_t> cex_words;
+    for (const bool bit : r.counterexample) cex_words.push_back(bit ? 1 : 0);
+    const auto po = static_cast<std::size_t>(r.failing_output);
+    EXPECT_NE(simulate(aig, cex_words)[po] & 1u,
+              bad.simulate(cex_words)[po] & 1u)
+        << id;
+    return;
+  }
+  FAIL() << "no AND2 cell of mapped mul8 reaches an output";
+}
+
+TEST(CecSweep, ProvenPairsCountsMergesAndRespectsAZeroBudget) {
+  const Aig aig = gen::make_named("mul8");
+  const t1::EngineResult flow = map_mul8_t1(aig);
+  const CecResult swept = check_equivalence(aig, flow.materialized.netlist);
+  EXPECT_EQ(swept.verdict, CecResult::Verdict::kEquivalent);
+  EXPECT_GT(swept.proven_pairs, 0u);
+
+  // A zero budget leaves the sweep nothing to spend.
+  const CecResult starved =
+      check_equivalence(aig, flow.materialized.netlist, /*conflict_limit=*/0);
+  EXPECT_EQ(starved.verdict, CecResult::Verdict::kUnknown);
+  EXPECT_EQ(starved.proven_pairs, 0u);
 }
 
 }  // namespace
