@@ -66,11 +66,7 @@ def main() -> int:
     # most of the above-floor samples) cannot drag the estimate with it
     # when it alone regresses.  'total'/'total_cpu' rows are composites of
     # the other stages and get no vote at all — they'd double-count their
-    # dominant constituent.  Threaded scaling entries (NAME@tN from
-    # --bench-threads) are excluded too: their wall times depend on how
-    # many cores the runner actually has, which is a host property like
-    # machine speed but per-entry, so they are gated but must not steer
-    # the normalization.  Near-duplicate mutant entries (NAME~mJ from
+    # dominant constituent.  Near-duplicate mutant entries (NAME~mJ from
     # --bench-set nearduplicate) also get no vote: their warm times are
     # dominated by how much of the circuit the mutation dirtied — a
     # property of the splice, not of the host.  A uniform slowdown still
@@ -78,8 +74,7 @@ def main() -> int:
     # shifts only its own vote.
     by_kind = {}
     for name, stage, base, now in rows:
-        if not stage.startswith("total") and "@t" not in name \
-                and "~m" not in name:
+        if not stage.startswith("total") and "~m" not in name:
             by_kind.setdefault(stage, []).append(now / base)
     if by_kind:
         speed = statistics.median(

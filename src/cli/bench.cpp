@@ -299,9 +299,6 @@ int run_bench(const Options& opts) {
 
   std::vector<Aig> aigs;
   aigs.reserve(circuits.size());
-  // Rendered per-circuit stats of the serial measurement; the
-  // --bench-threads sweep asserts threaded runs reproduce them exactly.
-  std::vector<std::string> baseline_stats;
 
   for (const std::string& name : circuits) {
     std::cerr << "t1map: bench " << name << " (" << opts.bench_runs
@@ -349,57 +346,12 @@ int run_bench(const Options& opts) {
     entry.set("stats", serve::flow_stats_json(stats));
     entry.set("stages", bench_json(bench, with_cec));
     circuits_json.set(name, std::move(entry));
-    baseline_stats.push_back(render_json(serve::flow_stats_json(stats)));
 
     std::fprintf(stderr, "t1map: bench %-14s total %.1f ms (mean of %d)\n",
                  name.c_str(),
                  bench.total.sum / static_cast<double>(bench.total.count),
                  opts.bench_runs);
   }
-  // Engine thread-budget sweep: each requested thread count re-times every
-  // circuit on an engine with that budget and lands as a NAME@tN entry.  A
-  // single run is serial, so the entries re-measure the serial path.  Stats
-  // must match the serial measurement bit-for-bit — checked here, every
-  // sweep, not just in tests.
-  for (const int threads : opts.bench_threads) {
-    engine.set_threads(threads);
-    for (std::size_t c = 0; c < circuits.size(); ++c) {
-      const Aig& aig = aigs[c];
-      CircuitBench bench;
-      t1::FlowStats stats;
-      for (int run = 0; run < opts.bench_runs; ++run) {
-        const t1::EngineResult flow = engine.run(aig, params);
-        T1MAP_REQUIRE(flow.ok(), "bench: flow failed on " + circuits[c] +
-                                     "@t" + std::to_string(threads) + ": " +
-                                     flow.diagnostics.first_error());
-        bench.map.add(flow.times.map);
-        if (with_cec) bench.cec.add(flow.times.cec);
-        bench.total.add(flow.times.total_wall);
-        stats = flow.stats;
-      }
-      T1MAP_REQUIRE(
-          render_json(serve::flow_stats_json(stats)) == baseline_stats[c],
-          "bench: stats of " + circuits[c] + " changed at --threads " +
-              std::to_string(threads) + " (thread-count nondeterminism)");
-
-      io::Json stages = io::Json::object();
-      stages.set("map", bench.map.json());
-      if (with_cec) stages.set("cec", bench.cec.json());
-      stages.set("total", bench.total.json());
-      io::Json entry = io::Json::object();
-      entry.set("threads", threads);
-      entry.set("stages", std::move(stages));
-      const std::string key =
-          circuits[c] + "@t" + std::to_string(threads);
-      circuits_json.set(key, std::move(entry));
-      std::fprintf(stderr, "t1map: bench %-14s total %.1f ms wall\n",
-                   key.c_str(),
-                   bench.total.sum /
-                       static_cast<double>(bench.total.count));
-    }
-  }
-  if (!opts.bench_threads.empty()) engine.set_threads(1);
-
   root.set("circuits", std::move(circuits_json));
 
   // Batched throughput: the whole circuit set through run_many.  With

@@ -12,7 +12,6 @@ int run_fuzz_cmd(const Options& opts) {
   fopts.iterations = opts.fuzz;
   fopts.seed = opts.fuzz_seed;
   fopts.aig.num_ops = static_cast<std::uint32_t>(opts.fuzz_nodes);
-  fopts.threads = opts.threads > 1 ? opts.threads : 4;
   fopts.phases = opts.phases;
   fopts.verify_rounds = opts.verify_rounds > 8 ? 8 : opts.verify_rounds;
   fopts.mutate = opts.fuzz_mutate;

@@ -117,18 +117,6 @@ Options parse_options(int argc, const char* const* argv) {
     } else if (arg == "--bench-out") {
       bench_only_flag = arg;
       opts.bench_out = value_of(i);
-    } else if (arg == "--bench-threads") {
-      bench_only_flag = arg;
-      const std::string list = value_of(i);
-      opts.bench_threads.clear();
-      std::size_t begin = 0;
-      while (begin <= list.size()) {
-        std::size_t end = list.find(',', begin);
-        if (end == std::string::npos) end = list.size();
-        opts.bench_threads.push_back(
-            parse_int(arg, list.substr(begin, end - begin), 1, 256));
-        begin = end + 1;
-      }
     } else if (arg == "--serve") {
       opts.serve = true;
     } else if (arg == "--cache-mb") {
@@ -376,11 +364,13 @@ std::string usage() {
       "  --json                      machine-readable JSON report on stdout\n"
       "  --no-cec                    skip SAT equivalence checking\n"
       "  --verify-rounds N           random-sim self-check rounds (default 8)\n"
-      "  --threads N                 worker threads: report mode runs the\n"
-      "                              configurations in parallel, bench mode\n"
-      "                              adds a batched run_many measurement;\n"
-      "                              results are identical at every thread\n"
-      "                              count\n"
+      "  --threads N                 worker threads, one netlist each:\n"
+      "                              report mode runs the configurations in\n"
+      "                              parallel, bench mode adds a batched\n"
+      "                              run_many measurement, serve mode maps\n"
+      "                              misses in parallel.  One netlist's flow\n"
+      "                              is serial, so results are identical at\n"
+      "                              every thread count\n"
       "  --skip-checks               drop the verification passes (timing,\n"
       "                              random-sim, CEC) from the pipeline\n"
       "  --passes LIST               explicit pass pipeline, comma-separated\n"
@@ -400,10 +390,7 @@ std::string usage() {
       "                              incremental-mapping measurement)\n"
       "  --bench-out FILE            bench output path ('-' = stdout;\n"
       "                              default BENCH_flow.json)\n"
-      "  --bench-threads LIST        comma-separated thread counts (e.g.\n"
-      "                              1,2,4): re-times each circuit on an\n"
-      "                              engine with that budget and emits\n"
-      "                              NAME@tN entries\n"
+
       "  --serve                     serve JSONL mapping requests (one JSON\n"
       "                              object per line; responses on stdout in\n"
       "                              request order; see README \"Serving\n"
@@ -429,10 +416,12 @@ std::string usage() {
       "                              than MS (default: never)\n"
       "  --fuzz N                    run N differential-fuzz iterations:\n"
       "                              each seeded random AIG goes through all\n"
-      "                              three configurations at 1 and --threads\n"
-      "                              workers with SAT CEC as the oracle,\n"
-      "                              plus AIGER/BLIF round-trip checks;\n"
-      "                              failures are minimized to .aag repros\n"
+      "                              three configurations once, with SAT CEC\n"
+      "                              as the oracle, plus AIGER/BLIF\n"
+      "                              round-trip checks; failures (a thrown\n"
+      "                              contract violation too) are minimized\n"
+      "                              to .aag repros.  Serial: ignores\n"
+      "                              --threads\n"
       "  --fuzz-seed S               base PRNG seed (default 1); every\n"
       "                              finding reproduces from (S, N)\n"
       "  --fuzz-dir DIR              where minimized repro .aag files land\n"
@@ -469,7 +458,7 @@ std::string usage() {
       "  t1map --gen c6288 --phases 6 --config t1 --out-blif c6288_t1.blif\n"
       "  t1map --blif design.blif --config t1 --out-dot design.dot\n"
       "  t1map --input design.aig --config t1 --export-verilog design.v\n"
-      "  t1map --fuzz 200 --fuzz-seed 7 --threads 4\n";
+      "  t1map --fuzz 200 --fuzz-seed 7\n";
 }
 
 }  // namespace t1map::cli

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 namespace t1map::cli {
 
@@ -41,8 +40,6 @@ struct Options {
   int bench_runs = 3;           // --bench-runs N (repetitions per circuit)
   std::string bench_set;        // --bench-set small|table1 (empty = small)
   std::string bench_out = "BENCH_flow.json";  // --bench-out FILE ("-"=stdout)
-  std::vector<int> bench_threads;  // --bench-threads LIST (e.g. "1,2,4":
-                                   //   per-stage scaling entries per count)
 
   // Serving mode (cached JSONL request loop; see README "Serving mode").
   bool serve = false;           // --serve (JSONL request/response loop)

@@ -72,7 +72,7 @@ Aig rebuild_with_pos(const Aig& aig,
   return out.cleaned();
 }
 
-/// Serialized materialized result — the determinism comparison key.  BLIF
+/// Serialized materialized result — the warm-vs-cold comparison key.  BLIF
 /// carries the full netlist (kinds, fanins, PO wiring, names); the stage
 /// vector and headline stats are appended because BLIF does not encode them.
 std::string result_signature(const t1::EngineResult& result) {
@@ -85,28 +85,44 @@ std::string result_signature(const t1::EngineResult& result) {
   return os.str();
 }
 
-/// The per-config differential check: serial flow, fault hook, CEC oracle,
-/// then the N-thread determinism rerun.
+/// The per-config differential check: flow, fault hook, CEC oracle.  A
+/// `ContractError` thrown anywhere inside is a failure like any other, so
+/// it is minimized and dumped instead of ending the run.
 class ConfigChecker {
  public:
   explicit ConfigChecker(const FuzzOptions& options)
-      : options_(options),
-        serial_(t1::Pipeline::default_flow(false)),
-        parallel_(t1::Pipeline::default_flow(false)) {
-    parallel_.set_threads(options.threads);
-  }
+      : options_(options), engine_(t1::Pipeline::default_flow(false)) {}
 
   long flows_run() const { return flows_run_; }
 
   Outcome run(const Aig& aig, const Config& config) {
-    ++flows_run_;
-    t1::EngineResult serial = serial_.run(aig, config.params);
-    if (!serial.ok()) {
-      return {"flow", serial.diagnostics.first_error()};
-    }
-    T1MAP_ASSERT(serial.has_materialized);
+    return guarded([&] { return check_flow(aig, config); });
+  }
 
-    sfq::Netlist netlist = serial.materialized.netlist;
+  Outcome run_incremental(const Aig& aig, const Config& config,
+                          std::uint64_t seed) {
+    return guarded([&] { return check_incremental(aig, config, seed); });
+  }
+
+ private:
+  template <typename Check>
+  static Outcome guarded(Check&& check) {
+    try {
+      return check();
+    } catch (const ContractError& e) {
+      return {"contract", e.what()};
+    }
+  }
+
+  Outcome check_flow(const Aig& aig, const Config& config) {
+    ++flows_run_;
+    const t1::EngineResult result = engine_.run(aig, config.params);
+    if (!result.ok()) {
+      return {"flow", result.diagnostics.first_error()};
+    }
+    T1MAP_ASSERT(result.has_materialized);
+
+    sfq::Netlist netlist = result.materialized.netlist;
     if (options_.corrupt) options_.corrupt(netlist);
     const sat::CecResult cec = sat::check_equivalence(aig, netlist);
     if (cec.verdict != sat::CecResult::Verdict::kEquivalent) {
@@ -116,20 +132,6 @@ class ConfigChecker {
                   : "netlist differs from source AIG at output " +
                         std::to_string(cec.failing_output)};
     }
-
-    if (options_.threads > 1) {
-      ++flows_run_;
-      t1::EngineResult parallel = parallel_.run(aig, config.params);
-      if (!parallel.ok()) {
-        return {"determinism", "parallel rerun failed: " +
-                                   parallel.diagnostics.first_error()};
-      }
-      if (result_signature(serial) != result_signature(parallel)) {
-        return {"determinism",
-                "1-thread and " + std::to_string(options_.threads) +
-                    "-thread results differ"};
-      }
-    }
     return {};
   }
 
@@ -137,8 +139,8 @@ class ConfigChecker {
   /// map identically on a memo-warmed engine (primed with `aig` itself, so
   /// the mutant run splices across the edit) and on a cold engine with
   /// incremental mapping disabled.
-  Outcome run_incremental(const Aig& aig, const Config& config,
-                          std::uint64_t seed) {
+  Outcome check_incremental(const Aig& aig, const Config& config,
+                            std::uint64_t seed) {
     t1::FlowEngine warm{t1::Pipeline::default_flow(false)};
     t1::FlowEngine cold{t1::Pipeline::default_flow(false)};
     cold.set_incremental(false);
@@ -168,10 +170,8 @@ class ConfigChecker {
     return {};
   }
 
- private:
   const FuzzOptions& options_;
-  t1::FlowEngine serial_;
-  t1::FlowEngine parallel_;
+  t1::FlowEngine engine_;
   long flows_run_ = 0;
 };
 

@@ -8,9 +8,8 @@
 ///   * SAT CEC proves the materialized netlist equivalent to the source
 ///     AIG — the external oracle, run by the fuzzer itself so it also
 ///     covers pipelines built without a cec pass;
-///   * a rerun with `threads` workers is bit-identical to the serial run
-///     (netlist, stage assignment and Table-I stats) — the determinism
-///     contract of the intra-netlist parallel sections.
+///   * no `ContractError` escapes the flow, the fault hook or the oracle
+///     (a violated netlist invariant is reported as check "contract").
 /// Independent of the flow, every AIG must survive AIGER (ASCII and
 /// binary, byte-identical) and BLIF (digest-equal) round trips.
 ///
@@ -19,8 +18,9 @@
 /// as `.aag` repro files under `repro_dir`.
 ///
 /// The `corrupt` hook mutates each materialized netlist before the CEC
-/// oracle sees it; injecting a deliberate bug through it is how the test
-/// suite proves the fuzzer actually catches and minimizes miscompiles.
+/// oracle sees it; injecting a deliberate bug (or a thrown
+/// `ContractError`) through it is how the test suite proves the fuzzer
+/// actually catches and minimizes miscompiles and contract violations.
 
 #pragma once
 
@@ -41,7 +41,6 @@ struct FuzzOptions {
   /// Size template: per-iteration PI/PO/op counts are jittered below these
   /// bounds (and the seed replaced) so one run covers many shapes.
   RandomAigOptions aig;
-  int threads = 4;        // worker count of the determinism rerun
   int phases = 4;         // the n of the nφ and T1 configurations
   /// Mutants per (iteration, configuration) for the incremental check:
   /// each mutant (one-gate edit of the iteration's AIG, see mutate.hpp)
@@ -63,7 +62,7 @@ struct FuzzFailure {
   int iteration = 0;
   std::string config;  // "baseline_1phi", "baseline_<n>phi", "t1",
                        // or "roundtrip" for format checks
-  std::string check;   // "flow" | "cec" | "determinism" | "incremental" |
+  std::string check;   // "flow" | "cec" | "contract" | "incremental" |
                        // "aiger_ascii" | "aiger_binary" | "blif"
   std::string detail;
   std::string repro_path;  // minimized .aag ("" when dumping failed)
@@ -72,7 +71,7 @@ struct FuzzFailure {
 
 struct FuzzReport {
   int iterations = 0;
-  long flows_run = 0;  // serial + parallel flow executions
+  long flows_run = 0;  // flow executions, incremental ones included
   double seconds = 0.0;
   std::vector<FuzzFailure> failures;
   bool ok() const { return failures.empty(); }

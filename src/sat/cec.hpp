@@ -27,9 +27,12 @@
 #include <vector>
 
 #include "aig/aig.hpp"
-#include "common/worker_pool.hpp"  // CecOptions::pool (ignored)
 #include "sat/solver.hpp"
 #include "sfq/netlist.hpp"
+
+namespace t1map {
+class WorkerPool;  // CecOptions::pool (ignored); no definition remains
+}  // namespace t1map
 
 namespace t1map::sat {
 

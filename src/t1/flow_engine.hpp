@@ -39,7 +39,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/worker_pool.hpp"
 #include "cut/cut_enum.hpp"
 #include "sat/cec.hpp"
 #include "sfq/netlist_sim.hpp"
@@ -445,9 +444,9 @@ class FlowEngine {
 
  private:
   /// The dispatch both `run_many` overloads share: runs the pipeline on
-  /// `aigs[i]` for every `i` in `indices` into `results[i]`, splitting
-  /// `num_threads` across the indices first and spilling the surplus into
-  /// each run.  A single outer worker runs on this engine's scratch.
+  /// `aigs[i]` for every `i` in `indices` into `results[i]`, with up to
+  /// `num_threads` workers, one index at a time each.  A single worker runs
+  /// on this engine's scratch.
   void run_indices(std::span<const Aig* const> aigs,
                    std::span<const std::size_t> indices,
                    const FlowParams& params, int num_threads,

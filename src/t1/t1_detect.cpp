@@ -193,6 +193,31 @@ void group_mffc(const Netlist& ntk, DetectScratch& ws,
   std::sort(out.begin(), out.end());
 }
 
+/// True if two roots in `matches` with the same output kind (so one tap
+/// after rewriting) are both leaves of one accepted candidate.
+bool merges_accepted_leaves(const std::vector<T1Match>& matches,
+                            const std::vector<T1Candidate>& accepted,
+                            const std::vector<std::uint8_t>& claim) {
+  const auto is_leaf_of = [](const T1Candidate& c, std::uint32_t v) {
+    return v == c.leaves[0] || v == c.leaves[1] || v == c.leaves[2];
+  };
+  for (std::size_t i = 0; i < matches.size(); ++i) {
+    if (!(claim[matches[i].node] & kClaimLeaf)) continue;
+    for (std::size_t j = i + 1; j < matches.size(); ++j) {
+      if (matches[j].output != matches[i].output ||
+          !(claim[matches[j].node] & kClaimLeaf)) {
+        continue;
+      }
+      for (const T1Candidate& c : accepted) {
+        if (is_leaf_of(c, matches[i].node) && is_leaf_of(c, matches[j].node)) {
+          return true;
+        }
+      }
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 sfq::CellKind tap_kind(T1Output output) {
@@ -350,6 +375,14 @@ DetectResult detect_t1(const Netlist& ntk, const DetectParams& params,
               return a.gain != b.gain ? a.gain > b.gain : a.leaves < b.leaves;
             });
   ws.claim.assign(n, 0);
+  // A group's roots of one output kind share one tap, so they become one
+  // signal (`tap_root[v]`: the first root of v's tap).  A candidate is
+  // rejected when that would feed any accepted T1 (its own, or one accepted
+  // before it) the same signal twice.
+  ws.tap_root.assign(n, kNone);
+  const auto signal_of = [&](std::uint32_t v) {
+    return ws.tap_root[v] == kNone ? v : ws.tap_root[v];
+  };
   for (T1Candidate& cand : candidates) {
     if (cand.gain < params.min_gain) break;  // sorted: the rest are worse
     const std::uint32_t epoch = next_epoch(ws);  // root marks of this group
@@ -369,7 +402,21 @@ DetectResult detect_t1(const Netlist& ntk, const DetectParams& params,
     for (const std::uint32_t l : cand.leaves) {
       if (ws.claim[l] & kClaimInterior) ok = false;  // signal would vanish
     }
-    if (!ok) continue;
+    const std::uint32_t s0 = signal_of(cand.leaves[0]);
+    const std::uint32_t s1 = signal_of(cand.leaves[1]);
+    const std::uint32_t s2 = signal_of(cand.leaves[2]);
+    if (!ok || s0 == s1 || s1 == s2 || s0 == s2 ||
+        merges_accepted_leaves(cand.matches, result.accepted, ws.claim)) {
+      continue;
+    }
+    for (const T1Match& m : cand.matches) {
+      for (const T1Match& first : cand.matches) {
+        if (first.output == m.output) {
+          ws.tap_root[m.node] = first.node;
+          break;
+        }
+      }
+    }
     for (const std::uint32_t v : cand.mffc) {
       ws.claim[v] |= ws.in_set[v] == epoch ? kClaimRoot : kClaimInterior;
     }

@@ -119,8 +119,10 @@ struct DetectScratch {
   std::vector<std::uint32_t> frontier;
   std::vector<std::uint32_t> members;
 
-  // Conflict-resolution flags, one byte per node (kClaim* bits).
+  // Conflict-resolution flags, one byte per node (kClaim* bits), and the
+  // first root of each accepted root's tap (kNone elsewhere).
   std::vector<std::uint8_t> claim;
+  std::vector<std::uint32_t> tap_root;
 };
 
 /// Runs detection on a mapped (T1-free) netlist.  `workspace`, when given,

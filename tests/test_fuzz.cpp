@@ -1,7 +1,8 @@
 // Fuzz subsystem tests: determinism and parameter adherence of the random
 // AIG generator, a clean differential run over all three configurations,
-// and the acceptance demonstration — an intentionally injected mapping bug
-// is caught by the CEC oracle, minimized, and dumped as an .aag repro.
+// and the acceptance demonstrations — an intentionally injected mapping bug
+// is caught by the CEC oracle, and an injected contract violation by the
+// fuzzer's own catch; both are minimized and dumped as .aag repros.
 
 #include <gtest/gtest.h>
 
@@ -55,7 +56,6 @@ TEST(Fuzz, CleanRunReportsNoFailures) {
   options.aig.num_pis = 6;
   options.aig.num_pos = 4;
   options.aig.num_ops = 30;
-  options.threads = 2;
   options.verify_rounds = 1;
   options.repro_dir = ::testing::TempDir() + "t1map_fuzz_clean";
   const fuzz::FuzzReport report = fuzz::run_fuzz(options);
@@ -64,8 +64,8 @@ TEST(Fuzz, CleanRunReportsNoFailures) {
                                    ? ""
                                    : report.failures[0].detail);
   EXPECT_EQ(report.iterations, 3);
-  // 3 configs x (serial + parallel) per iteration.
-  EXPECT_EQ(report.flows_run, 3L * 3 * 2);
+  // One flow run per config and iteration.
+  EXPECT_EQ(report.flows_run, 3L * 3);
 }
 
 TEST(Fuzz, InjectedMappingBugIsCaughtMinimizedAndDumped) {
@@ -84,7 +84,6 @@ TEST(Fuzz, InjectedMappingBugIsCaughtMinimizedAndDumped) {
   options.aig.num_pis = 5;
   options.aig.num_pos = 4;
   options.aig.num_ops = 20;
-  options.threads = 1;  // the bug is in "the mapper", not the parallelism
   options.verify_rounds = 0;
   options.repro_dir = repro_dir;
   options.corrupt = [](sfq::Netlist& netlist) {
@@ -116,6 +115,44 @@ TEST(Fuzz, InjectedMappingBugIsCaughtMinimizedAndDumped) {
     const Aig repro = io::read_aiger(in);
     EXPECT_EQ(serve::hash_aig(repro), serve::hash_aig(failure.minimized));
   }
+
+  std::filesystem::remove_all(repro_dir);
+}
+
+TEST(Fuzz, ContractViolationIsCaughtMinimizedAndDumped) {
+  // A netlist invariant broken inside the flow must not end the run: it is
+  // reported as a "contract" failure and shrunk like any other.  The hook
+  // throws only for netlists with a T1 core, so only the t1 config fails.
+  const std::string repro_dir =
+      ::testing::TempDir() + "t1map_fuzz_contract";
+  std::filesystem::remove_all(repro_dir);
+
+  fuzz::FuzzOptions options;
+  options.iterations = 1;
+  options.seed = 4;
+  options.aig.num_pis = 8;
+  options.aig.num_pos = 6;
+  options.aig.num_ops = 80;
+  options.verify_rounds = 0;
+  options.repro_dir = repro_dir;
+  options.corrupt = [](sfq::Netlist& netlist) {
+    T1MAP_REQUIRE(netlist.num_t1() == 0, "injected T1 contract violation");
+  };
+
+  const fuzz::FuzzReport report = fuzz::run_fuzz(options);
+  ASSERT_EQ(report.failures.size(), 1u);
+  const fuzz::FuzzFailure& failure = report.failures[0];
+  EXPECT_EQ(failure.config, "t1");
+  EXPECT_EQ(failure.check, "contract");
+  EXPECT_NE(failure.detail.find("injected T1 contract violation"),
+            std::string::npos)
+      << failure.detail;
+  EXPECT_EQ(failure.minimized.num_pos(), 1u);
+  ASSERT_FALSE(failure.repro_path.empty());
+  std::ifstream in(failure.repro_path);
+  ASSERT_TRUE(in.good()) << failure.repro_path;
+  EXPECT_EQ(serve::hash_aig(io::read_aiger(in)),
+            serve::hash_aig(failure.minimized));
 
   std::filesystem::remove_all(repro_dir);
 }

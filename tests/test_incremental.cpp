@@ -8,17 +8,10 @@
 //     regression generator (plus cordic28), on exact re-runs of the base
 //     and on random one-gate mutants;
 //   * a one-gate edit on mul8 reuses > 80% of the mapper's cones;
-//   * an exact re-run splices every mapper cone;
-//   * splicing stays bit-identical when the engine has a worker budget.
-//
-// This binary has a custom main: `--threads N` (the TSan CI leg passes 4)
-// sets the engine worker budget for the determinism-under-splice test.
-// The mapper runs serially at any budget, so that test pins that the
-// budget never reaches the splice.
+//   * an exact re-run splices every mapper cone.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -28,10 +21,6 @@
 #include "gen/registry.hpp"
 #include "io/blif.hpp"
 #include "t1/flow_engine.hpp"
-
-namespace {
-int g_threads = 1;
-}  // namespace
 
 namespace t1map {
 namespace {
@@ -240,25 +229,6 @@ TEST(Incremental, ExactRerunSplicesTheWholeMap) {
   EXPECT_EQ(second.reuse.map_cones_reused, second.reuse.map_cones_total);
 }
 
-TEST(Incremental, SpliceIsDeterministicUnderWorkerPool) {
-  const Aig base = gen::make_named("mul8");
-  const Aig mutant = fuzz::mutate_aig(base, fuzz::MutateOptions{3, 1});
-  const t1::FlowParams params = t1_params();
-
-  t1::FlowEngine cold;
-  cold.set_incremental(false);
-  const t1::EngineResult ref = cold.run(mutant, params);
-
-  t1::FlowEngine warm;
-  warm.set_threads(g_threads);
-  (void)warm.run(base, params);
-  const t1::EngineResult inc = warm.run(mutant, params);
-
-  ASSERT_EQ(inc.status, ref.status);
-  EXPECT_EQ(signature(inc), signature(ref))
-      << "splice diverged at " << g_threads << " threads";
-}
-
 TEST(Incremental, DisablingDropsTheMemo) {
   const Aig aig = gen::make_named("adder16");
   const t1::FlowParams params = t1_params();
@@ -274,13 +244,3 @@ TEST(Incremental, DisablingDropsTheMemo) {
 
 }  // namespace
 }  // namespace t1map
-
-int main(int argc, char** argv) {
-  ::testing::InitGoogleTest(&argc, argv);
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--threads" && i + 1 < argc) {
-      g_threads = std::atoi(argv[i + 1]);
-    }
-  }
-  return RUN_ALL_TESTS();
-}

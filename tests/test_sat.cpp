@@ -324,6 +324,77 @@ TEST(Cec, ConflictLimitReturnsUnknownOrAnswer) {
               r.verdict == CecResult::Verdict::kUnknown);
 }
 
+/// Replay-copy of `src` with the listed PO indices complemented.
+/// Structural hashing replays identically, so node ids are preserved and
+/// the two AIGs differ exactly on the flipped outputs.
+Aig copy_with_flipped_pos(const Aig& src,
+                          const std::vector<std::uint32_t>& flips) {
+  Aig out;
+  std::vector<Lit> node_lit(src.num_nodes(), 0);  // node 0 = const0
+  std::uint32_t pi_index = 0;
+  for (std::uint32_t id = 1; id < src.num_nodes(); ++id) {
+    if (src.is_pi(id)) {
+      node_lit[id] = out.create_pi(src.pi_name(pi_index++));
+    } else {
+      const Lit f0 = src.fanin0(id);
+      const Lit f1 = src.fanin1(id);
+      node_lit[id] = out.create_and(
+          lit_notif(node_lit[lit_node(f0)], lit_is_complemented(f0)),
+          lit_notif(node_lit[lit_node(f1)], lit_is_complemented(f1)));
+    }
+  }
+  for (std::uint32_t i = 0; i < src.num_pos(); ++i) {
+    const Lit po = src.po(i);
+    Lit mapped = lit_notif(node_lit[lit_node(po)], lit_is_complemented(po));
+    for (const std::uint32_t f : flips) {
+      if (f == i) mapped = lit_notif(mapped, true);
+    }
+    out.create_po(mapped, src.po_name(i));
+  }
+  return out;
+}
+
+TEST(Cec, FlippedOutputsBlameTheLowestWithAStableCounterexample) {
+  const Aig aig = gen::make_named("mul8");
+  const Aig flipped = copy_with_flipped_pos(aig, {2, 9});
+  const CecResult first = check_equivalence(aig, flipped);
+  ASSERT_EQ(first.verdict, CecResult::Verdict::kNotEquivalent);
+  EXPECT_EQ(first.failing_output, 2);
+  ASSERT_EQ(first.counterexample.size(), aig.num_pis());
+  const CecResult again = check_equivalence(aig, flipped);
+  EXPECT_EQ(again.failing_output, 2);
+  EXPECT_EQ(again.counterexample, first.counterexample);
+}
+
+TEST(Cec, ZeroBudgetIsUnknownOnOneOutputAndARoomyBudgetProves) {
+  const Aig aig = gen::make_named("mul8");
+  const Aig same = copy_with_flipped_pos(aig, {});
+  const CecResult first = check_equivalence(aig, same, /*conflict_limit=*/0);
+  EXPECT_EQ(first.verdict, CecResult::Verdict::kUnknown);
+  EXPECT_GE(first.failing_output, 0);
+  const CecResult again = check_equivalence(aig, same, /*conflict_limit=*/0);
+  EXPECT_EQ(again.verdict, CecResult::Verdict::kUnknown);
+  EXPECT_EQ(again.failing_output, first.failing_output);
+
+  const CecResult roomy = check_equivalence(aig, same, std::int64_t{1} << 24);
+  EXPECT_EQ(roomy.verdict, CecResult::Verdict::kEquivalent);
+  EXPECT_EQ(roomy.failing_output, -1);
+}
+
+TEST(Cec, FlowOutputsAreEquivalent) {
+  t1::FlowEngine engine;
+  t1::FlowParams params;
+  params.verify_rounds = 0;
+  for (const char* name : {"adder16", "comparator16", "voter25"}) {
+    const Aig aig = gen::make_named(name);
+    const t1::EngineResult flow = engine.run(aig, params);
+    ASSERT_TRUE(flow.ok()) << name;
+    const CecResult r = check_equivalence(aig, flow.materialized.netlist);
+    EXPECT_EQ(r.verdict, CecResult::Verdict::kEquivalent) << name;
+    EXPECT_EQ(r.failing_output, -1) << name;
+  }
+}
+
 // --- SAT sweep ---------------------------------------------------------------
 
 /// 32 PIs; the single PO is their AND, or constant 0.  The sweep's few

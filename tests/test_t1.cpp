@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "aig/aig.hpp"
+#include "io/aiger.hpp"
 #include "retime/dff_insert.hpp"
 #include "retime/timing_check.hpp"
 #include "sfq/mapper.hpp"
@@ -196,6 +197,130 @@ TEST(Rewrite, OverlapResolutionIsDisjoint) {
   EXPECT_EQ(det.used, 2);
   const Netlist rewritten = apply_t1_rewrite(n, det.accepted);
   EXPECT_EQ(rewritten.num_t1(), 2u);
+}
+
+// Fuzzer repros (`t1map --fuzz 300 --fuzz-seed 7`, then seed 4, minimized).
+// In both, one accepted group has two roots of the same output kind, which
+// the rewrite merges into one tap, and a later group takes both roots as
+// leaves: its T1 would see the same signal twice.
+const char* const kSharedTapRepros[] = {
+R"(aag 28 7 0 1 21
+2
+4
+6
+8
+10
+12
+14
+57
+16 14 13
+18 17 14
+20 15 12
+22 21 19
+24 23 3
+26 25 11
+28 22 2
+30 29 27
+32 30 2
+34 32 2
+36 34 31
+38 35 30
+40 39 37
+42 33 30
+44 35 31
+46 45 43
+48 47 40
+50 31 14
+52 51 49
+54 30 15
+56 55 53
+i0 pi0
+i1 pi1
+i2 pi2
+i3 pi3
+i4 pi4
+i5 pi5
+i6 pi6
+o0 po1
+)",
+R"(aag 22 4 0 3 18
+2
+4
+6
+8
+31
+45
+39
+10 6 4
+12 7 5
+14 13 11
+16 15 6
+18 16 2
+20 19 14
+22 20 5
+24 22 7
+26 24 7
+28 27 25
+30 28 26
+32 28 24
+34 32 31
+36 32 30
+38 37 30
+40 39 35
+42 34 31
+44 43 41
+i0 pi0
+i1 pi1
+i2 pi2
+i3 pi3
+o0 po0
+o1 po5
+o2 po6
+)"};
+
+TEST(Rewrite, LeavesOnOneSharedTapAreRejected) {
+  for (const char* text : kSharedTapRepros) {
+    const Aig aig = io::read_aiger_string(text);
+    const Netlist mapped = sfq::map_to_sfq(aig);
+    const DetectResult det = detect_t1(mapped);
+    EXPECT_GE(det.used, 1);
+    const Netlist rewritten = apply_t1_rewrite(mapped, det.accepted);
+    EXPECT_EQ(rewritten.num_t1(), static_cast<std::uint32_t>(det.used));
+    EXPECT_TRUE(sfq::random_equivalent(aig, rewritten, 32));
+  }
+}
+
+// The reverse order: r1 and r2 are duplicate MAJ3 cells, so as roots of one
+// group they would share a tap.  The group over {r1, r2, d} gains more and
+// is accepted first; the duplicate-root group must then be rejected, or its
+// tap would feed the accepted T1 twice.
+TEST(Rewrite, DuplicateRootsFeedingAnAcceptedT1AreRejected) {
+  Netlist n;
+  const auto a = n.add_pi();
+  const auto b = n.add_pi();
+  const auto c = n.add_pi();
+  const auto d = n.add_pi();
+  const auto r1 = n.add_cell(CellKind::kMaj3, {a, b, c});
+  const auto r2 = n.add_cell(CellKind::kMaj3, {a, b, c});
+  n.add_po(n.add_cell(CellKind::kXor3, {r1, r2, d}));
+  n.add_po(n.add_cell(CellKind::kMaj3, {r1, r2, d}));
+  n.add_po(n.add_cell(CellKind::kOr3, {r1, r2, d}));
+
+  const DetectResult det = detect_t1(n);
+  ASSERT_EQ(det.used, 1);
+  EXPECT_EQ(det.accepted[0].leaves, (std::array<std::uint32_t, 3>{d, r1, r2}));
+  const Netlist rewritten = apply_t1_rewrite(n, det.accepted);
+
+  Aig ref;  // XOR3(m, m, d) = d, MAJ3(m, m, d) = m, OR3(m, m, d) = m | d
+  const Lit ra = ref.create_pi();
+  const Lit rb = ref.create_pi();
+  const Lit rc = ref.create_pi();
+  const Lit rd = ref.create_pi();
+  const Lit m = ref.create_maj3(ra, rb, rc);
+  ref.create_po(rd);
+  ref.create_po(m);
+  ref.create_po(ref.create_or(m, rd));
+  EXPECT_TRUE(sfq::random_equivalent(ref, rewritten));
 }
 
 TEST(PhaseIlp, MatchesHeuristicOnSmallNets) {
