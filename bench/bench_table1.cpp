@@ -9,14 +9,14 @@
 #include <string>
 #include <vector>
 
+#include "common/require.hpp"
 #include "gen/registry.hpp"
-#include "t1/flow.hpp"
+#include "t1/flow_engine.hpp"
 
 namespace {
 
 using t1map::t1::FlowParams;
 using t1map::t1::FlowStats;
-using t1map::t1::run_flow;
 
 struct Row {
   std::string name;
@@ -32,6 +32,13 @@ FlowParams config(int phases, bool use_t1) {
   return p;
 }
 
+/// One cold run on a fresh engine; aborts if a self-check fails.
+FlowStats flow_stats(const t1map::Aig& aig, const FlowParams& params) {
+  const t1map::t1::EngineResult r = t1map::t1::FlowEngine().run(aig, params);
+  T1MAP_REQUIRE(r.ok(), r.diagnostics.first_error());
+  return r.stats;
+}
+
 }  // namespace
 
 int main() {
@@ -41,9 +48,9 @@ int main() {
     const t1map::Aig aig = t1map::gen::make_benchmark(name);
     Row row;
     row.name = name;
-    row.s1 = run_flow(aig, config(1, false)).stats;
-    row.s4 = run_flow(aig, config(4, false)).stats;
-    row.st = run_flow(aig, config(4, true)).stats;
+    row.s1 = flow_stats(aig, config(1, false));
+    row.s4 = flow_stats(aig, config(4, false));
+    row.st = flow_stats(aig, config(4, true));
     row.seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)

@@ -8,10 +8,11 @@
 #include <fstream>
 #include <iostream>
 
+#include "common/require.hpp"
 #include "gen/arith.hpp"
 #include "io/blif.hpp"
 #include "io/dot.hpp"
-#include "t1/flow.hpp"
+#include "t1/flow_engine.hpp"
 
 int main(int argc, char** argv) {
   using namespace t1map;
@@ -21,7 +22,8 @@ int main(int argc, char** argv) {
   const Aig mult = gen::array_multiplier(4);
   t1::FlowParams params;
   params.num_phases = 4;
-  const t1::FlowResult r = t1::run_flow(mult, params);
+  const t1::EngineResult r = t1::FlowEngine().run(mult, params);
+  T1MAP_REQUIRE(r.ok(), r.diagnostics.first_error());
 
   {
     std::ofstream os(blif_path);

@@ -8,10 +8,11 @@
 
 #include <cstdio>
 
+#include "common/require.hpp"
 #include "gen/voter.hpp"
 #include "retime/timing_check.hpp"
 #include "sfq/netlist_sim.hpp"
-#include "t1/flow.hpp"
+#include "t1/flow_engine.hpp"
 
 int main() {
   using namespace t1map;
@@ -23,10 +24,13 @@ int main() {
   t1::FlowParams params;
   params.num_phases = 4;
   params.use_t1 = true;
-  const t1::FlowResult r = t1::run_flow(voter, params);
+  t1::FlowEngine engine;
+  const t1::EngineResult r = engine.run(voter, params);
+  T1MAP_REQUIRE(r.ok(), r.diagnostics.first_error());
 
   params.use_t1 = false;
-  const t1::FlowResult base = t1::run_flow(voter, params);
+  const t1::EngineResult base = engine.run(voter, params);
+  T1MAP_REQUIRE(base.ok(), base.diagnostics.first_error());
 
   std::printf("\nT1 cells: %d found, %d used\n", r.stats.t1_found,
               r.stats.t1_used);
@@ -38,7 +42,8 @@ int main() {
   std::printf("depth: %d -> %d cycles\n", base.stats.depth_cycles,
               r.stats.depth_cycles);
 
-  // Re-run the safety nets explicitly (run_flow already did internally).
+  // Re-run the safety nets explicitly (the engine's check passes already
+  // did).
   const bool equivalent =
       sfq::random_equivalent(voter, r.materialized.netlist, 32);
   const auto timing =

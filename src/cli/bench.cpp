@@ -82,6 +82,18 @@ struct CircuitBench {
   StageSamples self_check;
   StageSamples cec;
   StageSamples total;
+
+  /// Records one flow run: its per-pass times, plus `run_total`, the wall
+  /// clock measured around the run.
+  void add(const t1::EngineResult& flow, double run_total, bool with_cec) {
+    map.add(flow.times.map);
+    t1_detect.add(flow.times.t1_detect);
+    stage_assign.add(flow.times.stage_assign);
+    dff_insert.add(flow.times.dff_insert);
+    self_check.add(flow.times.self_check);
+    if (with_cec) cec.add(flow.times.cec);
+    total.add(run_total);
+  }
 };
 
 io::Json bench_json(const CircuitBench& b, bool with_cec) {
@@ -189,13 +201,7 @@ int run_bench_nearduplicate(const Options& opts) {
           std::chrono::duration<double>(Clock::now() - t0).count();
       T1MAP_REQUIRE(flow.ok(), "bench: flow failed on " + name + ": " +
                                    flow.diagnostics.first_error());
-      base_bench.map.add(flow.times.map);
-      base_bench.t1_detect.add(flow.times.t1_detect);
-      base_bench.stage_assign.add(flow.times.stage_assign);
-      base_bench.dff_insert.add(flow.times.dff_insert);
-      base_bench.self_check.add(flow.times.self_check);
-      if (with_cec) base_bench.cec.add(flow.times.cec);
-      base_bench.total.add(run_total);
+      base_bench.add(flow, run_total, with_cec);
       base_stats = flow.stats;
     }
     io::Json base_entry = io::Json::object();
@@ -235,13 +241,7 @@ int run_bench_nearduplicate(const Options& opts) {
             render_json(serve::flow_stats_json(flow.stats)) == ref_stats,
             "bench: warm run of " + key + " diverged from its cold run "
             "(incremental splice is unsound)");
-        bench.map.add(flow.times.map);
-        bench.t1_detect.add(flow.times.t1_detect);
-        bench.stage_assign.add(flow.times.stage_assign);
-        bench.dff_insert.add(flow.times.dff_insert);
-        bench.self_check.add(flow.times.self_check);
-        if (with_cec) bench.cec.add(flow.times.cec);
-        bench.total.add(run_total);
+        bench.add(flow, run_total, with_cec);
         reuse = flow.reuse;
         stats = flow.stats;
       }
@@ -327,17 +327,9 @@ int run_bench(const Options& opts) {
           std::chrono::duration<double>(Clock::now() - t0).count();
       T1MAP_REQUIRE(flow.ok(), "bench: flow failed on " + name + ": " +
                                    flow.diagnostics.first_error());
-      bench.map.add(flow.times.map);
-      bench.t1_detect.add(flow.times.t1_detect);
-      bench.stage_assign.add(flow.times.stage_assign);
-      bench.dff_insert.add(flow.times.dff_insert);
-      bench.self_check.add(flow.times.self_check);
-      if (with_cec) {
-        T1MAP_REQUIRE(flow.cec == "equivalent",
-                      "bench: CEC did not prove equivalence on " + name);
-        bench.cec.add(flow.times.cec);
-      }
-      bench.total.add(run_total);
+      T1MAP_REQUIRE(!with_cec || flow.cec == "equivalent",
+                    "bench: CEC did not prove equivalence on " + name);
+      bench.add(flow, run_total, with_cec);
       stats = flow.stats;
     }
 

@@ -1,10 +1,8 @@
 #include "cli/report.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <iostream>
-#include <optional>
 #include <sstream>
 
 #include "common/require.hpp"
@@ -19,47 +17,20 @@ std::string nphi_key(int phases) {
   return "baseline_" + std::to_string(phases) + "phi";
 }
 
-/// Scoped hook of a cone memo onto a scratch; restores the previous hook
-/// even when the flow throws.
-class MemoAttach {
- public:
-  MemoAttach(t1::FlowScratch& scratch, sfq::MapMemo& memo)
-      : scratch_(scratch), saved_(scratch.memo) {
-    scratch_.memo = &memo;
-  }
-  ~MemoAttach() { scratch_.memo = saved_; }
-  MemoAttach(const MemoAttach&) = delete;
-  MemoAttach& operator=(const MemoAttach&) = delete;
-
- private:
-  t1::FlowScratch& scratch_;
-  sfq::MapMemo* saved_;
-};
-
-/// One configuration through the shared pipeline; throws ContractError when
-/// a check pass failed so the driver exits non-zero exactly as the
-/// monolithic flow did.  With `prime`, that design is mapped first (untimed)
-/// to warm a cone memo that the measured run then splices from.
-ConfigResult run_one_config(const t1::Pipeline& pipeline, const Aig& aig,
-                            const std::string& key, const Options& opts,
-                            t1::FlowScratch& scratch, const Aig* prime) {
+/// One configuration on its own engine; throws ContractError when a check
+/// pass failed so the driver exits non-zero.  With `prime`, that design is
+/// mapped first (untimed) to warm the engine's cone memo, which the
+/// measured run then splices from; without it the run is cold.
+ConfigResult run_one_config(const Aig& aig, const std::string& key,
+                            const Options& opts, const Aig* prime) {
   ConfigResult result;
   result.key = key;
   result.params = config_params(key, opts);
 
-  sfq::MapMemo memo;
-  std::optional<MemoAttach> attach;
-  if (prime != nullptr) {
-    attach.emplace(scratch, memo);
-    (void)t1::FlowEngine::run_with(pipeline, *prime, result.params, scratch);
-  }
-
-  const auto start = std::chrono::steady_clock::now();
-  result.flow =
-      t1::FlowEngine::run_with(pipeline, aig, result.params, scratch);
-  const auto end = std::chrono::steady_clock::now();
-  result.seconds = std::chrono::duration<double>(end - start).count();
-  result.cec = result.flow.cec;
+  t1::FlowEngine engine(build_pipeline(opts));
+  engine.set_incremental(prime != nullptr);
+  if (prime != nullptr) (void)engine.run(*prime, result.params);
+  result.flow = engine.run(aig, result.params);
   T1MAP_REQUIRE(result.flow.ok(),
                 "config " + key + " failed: " +
                     result.flow.diagnostics.first_error());
@@ -107,7 +78,6 @@ std::vector<ConfigResult> run_configs(const Aig& aig,
                                       const std::vector<std::string>& keys,
                                       const Options& opts,
                                       const Aig* prime) {
-  const t1::Pipeline pipeline = build_pipeline(opts);
   std::vector<ConfigResult> results(keys.size());
 
   const bool parallel = opts.threads > 1 && keys.size() > 1;
@@ -123,12 +93,13 @@ std::vector<ConfigResult> run_configs(const Aig& aig,
       }
     }
   }
-  t1::for_each_with_scratch(
-      keys.size(), opts.threads,
-      [&](std::size_t i, t1::FlowScratch& scratch) {
-        results[i] =
-            run_one_config(pipeline, aig, keys[i], opts, scratch, prime);
-      });
+  // Each configuration brings its own engine (and scratch); the worker's
+  // scratch goes unused.
+  t1::for_each_with_scratch(keys.size(), opts.threads,
+                            [&](std::size_t i, t1::FlowScratch& /*worker*/) {
+                              results[i] =
+                                  run_one_config(aig, keys[i], opts, prime);
+                            });
   return results;
 }
 
@@ -161,8 +132,8 @@ io::Json report_json(const Report& report) {
     for (const auto& [key, value] : stats.members()) {
       j.set(key, value);
     }
-    j.set("cec", c.cec);
-    j.set("seconds", c.seconds);
+    j.set("cec", c.flow.cec);
+    j.set("seconds", c.flow.times.total_wall);
     if (!report.incremental_from.empty()) {
       const t1::ReuseCounters& r = c.flow.reuse;
       io::Json reuse = io::Json::object();
@@ -222,7 +193,7 @@ std::string report_text(const Report& report, bool with_paper) {
                   "%-16s %6d %8d %8ld %9ld %9ld %6ld %6d %12s %7.2fs\n",
                   c.key.c_str(), c.params.num_phases, s.t1_used,
                   s.logic_cells, s.splitters, s.dffs, s.area_jj,
-                  s.depth_cycles, c.cec.c_str(), c.seconds);
+                  s.depth_cycles, c.flow.cec.c_str(), c.flow.times.total_wall);
     os << line;
   }
 

@@ -1,27 +1,22 @@
 /// \file flow.hpp
-/// \brief The complete T1-aware technology-mapping flow (paper §II) plus the
-/// 1φ / nφ baselines of Table I.
+/// \brief Parameters and statistics of the T1-aware technology-mapping flow
+/// (paper §II) and of the 1φ / nφ baselines of Table I.
 ///
 /// Pipeline:
 ///   AIG  ──mapper──►  SFQ netlist  ──[T1 detect + rewrite]──►
 ///        ──stage assignment (§II-B)──►  DFF insertion (§II-C)──►
 ///        materialized netlist + Table-I statistics.
 ///
-/// Every run self-checks: the materialized netlist passes the independent
-/// timing validator and (optionally) random-simulation equivalence against
-/// the source AIG.
+/// `FlowEngine` (flow_engine.hpp) runs it.  The default pipeline self-checks:
+/// the materialized netlist passes the independent timing validator and
+/// (optionally) random-simulation equivalence against the source AIG.
 
 #pragma once
 
 #include <cstdint>
-#include <string>
 
-#include "aig/aig.hpp"
-#include "retime/dff_insert.hpp"
-#include "retime/timing_check.hpp"
 #include "sfq/mapper.hpp"
 #include "t1/t1_detect.hpp"
-#include "t1/t1_rewrite.hpp"
 
 namespace t1map::t1 {
 
@@ -59,7 +54,7 @@ struct FlowStats {
   int num_stages = 0;     // σ_PO
 };
 
-/// Wall-clock seconds per flow stage, filled by every `run_flow` call (the
+/// Wall-clock seconds per flow stage, filled by every `FlowEngine` run (the
 /// bench harness aggregates these into `BENCH_flow.json`).
 struct StageTimes {
   double map = 0.0;          // technology mapping (incl. cut enumeration)
@@ -70,25 +65,5 @@ struct StageTimes {
   double cec = 0.0;          // SAT CEC, when the pipeline includes the pass
   double total_wall = 0.0;   // wall-clock of the whole pipeline
 };
-
-struct FlowResult {
-  sfq::Netlist mapped;                   // pre-retiming network
-  retime::MaterializeResult materialized;
-  FlowStats stats;
-  StageTimes times;
-};
-
-/// Runs the full flow on `aig`.  Throws ContractError if any internal
-/// validity check fails (timing, equivalence).
-///
-/// Compatibility wrapper: executes the default `FlowEngine` pipeline
-/// (flow_engine.hpp) with fresh scratch state, so results are bit-for-bit
-/// identical to the pre-engine monolithic implementation.  Callers running
-/// the flow more than once should hold a `FlowEngine` instead.
-FlowResult run_flow(const Aig& aig, const FlowParams& params = {});
-
-/// Formats a Table-I-style row:
-/// `name  found used  logic split  dffs  area  stages depth`.
-std::string format_stats_row(const std::string& name, const FlowStats& s);
 
 }  // namespace t1map::t1

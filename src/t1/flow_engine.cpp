@@ -421,18 +421,8 @@ EngineResult FlowEngine::run_with(const Pipeline& pipeline, const Aig& aig,
     }
   }
   ctx.times.total_wall = seconds_between(flow_start, Clock::now());
-
-  EngineResult result;
-  result.status = ctx.status;
-  result.mapped = std::move(ctx.mapped);
-  result.has_materialized = ctx.has_materialized;
-  result.materialized = std::move(ctx.materialized);
-  result.stats = ctx.stats;
-  result.times = ctx.times;
-  result.diagnostics = std::move(ctx.diagnostics);
-  result.reuse = ctx.reuse;
-  result.cec = std::move(ctx.cec);
-  return result;
+  // Moves the outputs out; the inputs and intermediate state stay behind.
+  return std::move(static_cast<EngineResult&>(ctx));
 }
 
 EngineResult FlowEngine::run(const Aig& aig, const FlowParams& params) {

@@ -1,11 +1,10 @@
 /// \file flow_engine.hpp
 /// \brief Composable pass-pipeline API over the Table-I flow.
 ///
-/// `run_flow()` (flow.hpp) is a one-shot convenience wrapper; callers that
-/// map many circuits — or one circuit under many configurations — use a
-/// `FlowEngine`, which owns reusable scratch state (cut-enumeration arenas,
-/// the SAT solver, simulation buffers) and executes an explicit `Pipeline`
-/// of `Pass` objects over a shared `FlowContext`.
+/// `FlowEngine` is the one way to run the flow: it owns reusable scratch
+/// state (cut-enumeration arenas, the SAT solver, simulation buffers) and
+/// executes an explicit `Pipeline` of `Pass` objects over a shared
+/// `FlowContext`.  A fresh engine per call gives a cold one-shot run.
 ///
 /// Design points:
 ///   * Passes are stateless and const; all evolving data lives in the
@@ -39,7 +38,9 @@
 #include <string_view>
 #include <vector>
 
+#include "aig/aig.hpp"
 #include "cut/cut_enum.hpp"
+#include "retime/dff_insert.hpp"
 #include "sat/cec.hpp"
 #include "sfq/netlist_sim.hpp"
 #include "t1/flow.hpp"
@@ -71,8 +72,8 @@ class Diagnostics {
   const std::vector<Diagnostic>& entries() const { return entries_; }
   bool empty() const { return entries_.empty(); }
   bool has_errors() const;
-  /// Message of the first error record ("" when none) — what the
-  /// `run_flow()` compatibility wrapper rethrows.
+  /// Message of the first error record ("" when none) — what callers that
+  /// require a successful run report.
   std::string first_error() const;
   /// Multi-line `severity [pass] message` rendering.
   std::string to_string() const;
@@ -134,30 +135,44 @@ struct FlowScratch {
   WorkerPool* pool() { return nullptr; }
 };
 
-/// The shared state a pipeline evolves.  Passes read what upstream passes
-/// produced and write their own products; the `has_*` flags gate the
-/// ordering contracts.
-struct FlowContext {
+/// What `FlowEngine::run` returns: every output of the pipeline, declared
+/// once — the passes write these fields through `FlowContext`, which
+/// derives from this struct.  On failure (`!ok()`), the fields are filled
+/// up to the failing pass, so callers can post-mortem the partial result.
+struct EngineResult {
+  FlowStatus status = FlowStatus::kOk;
+  bool ok() const { return status == FlowStatus::kOk; }
+
+  sfq::Netlist mapped;  // post-mapping (and post-T1-rewrite) network
+  /// False when the pipeline had no dff pass (or stopped before it):
+  /// `materialized` is then default-constructed, not a mapped design.
+  bool has_materialized = false;
+  retime::MaterializeResult materialized;
+  FlowStats stats;
+  StageTimes times;
+  Diagnostics diagnostics;
+  /// Incremental-mapping reuse counters.  The totals are populated on
+  /// every executed run (cold runs report N total / 0 reused, so hit rates
+  /// accumulated over mixed runs stay meaningful); results decoded from a
+  /// serve cache carry all zeros — the codec does not persist them.
+  ReuseCounters reuse;
+  std::string cec = "skipped";  // SatCecPass verdict when the pass ran
+};
+
+/// The shared state a pipeline evolves: the run's inputs and intermediate
+/// products on top of the `EngineResult` outputs.  Passes read what
+/// upstream passes produced and write their own products; the `has_*` flags
+/// gate the ordering contracts.
+struct FlowContext : EngineResult {
   // Inputs, set by the engine before the first pass.
   const Aig* aig = nullptr;
   FlowParams params;
   FlowScratch* scratch = nullptr;  // may be null: passes fall back to locals
 
-  // Evolving netlist state.
-  sfq::Netlist mapped;  // post-mapping (and post-T1-rewrite) network
+  // Intermediate state the result does not carry.
   bool has_mapped = false;
   retime::StageAssignment assignment;
   bool has_assignment = false;
-  retime::MaterializeResult materialized;
-  bool has_materialized = false;
-
-  // Outputs.
-  FlowStats stats;
-  StageTimes times;
-  Diagnostics diagnostics;
-  ReuseCounters reuse;
-  FlowStatus status = FlowStatus::kOk;
-  std::string cec = "skipped";  // SatCecPass verdict when the pass ran
 
   /// Records a structured failure: sets `status` and appends an error
   /// diagnostic.  The failing pass returns false to stop the pipeline.
@@ -260,8 +275,6 @@ std::unique_ptr<Pass> make_pass(const std::string& name);
 
 // --- Result-caching hook -----------------------------------------------------
 
-struct EngineResult;  // declared with the engine below
-
 /// Opaque 128-bit key identifying one (source AIG, configuration) mapping
 /// problem.  Producers combine a canonical structural hash of the AIG
 /// (serve::AigHasher) with `params_fingerprint` and the pipeline spec; the
@@ -347,7 +360,7 @@ class Pipeline {
   /// Comma-joined pass names, `parse`-compatible.
   std::string spec() const;
 
-  /// The Table-I flow `run_flow` executes:
+  /// The Table-I flow a default `FlowEngine` runs:
   /// map,t1,stage,dff,timing,sim.  Pass `with_cec` to append SAT CEC.
   static Pipeline default_flow(bool with_cec = false);
   /// Builds from a comma-separated name list (e.g. "map,t1,stage,dff").
@@ -361,29 +374,6 @@ class Pipeline {
 };
 
 // --- Engine ------------------------------------------------------------------
-
-/// What `FlowEngine::run` returns: the `run_flow` payload plus the
-/// structured outcome.  On failure (`!ok()`), the netlist fields are filled
-/// up to the failing pass, so callers can post-mortem the partial result.
-struct EngineResult {
-  FlowStatus status = FlowStatus::kOk;
-  bool ok() const { return status == FlowStatus::kOk; }
-
-  sfq::Netlist mapped;                    // pre-retiming network
-  /// False when the pipeline had no dff pass (or stopped before it):
-  /// `materialized` is then default-constructed, not a mapped design.
-  bool has_materialized = false;
-  retime::MaterializeResult materialized;
-  FlowStats stats;
-  StageTimes times;
-  Diagnostics diagnostics;
-  /// Incremental-mapping reuse counters.  The totals are populated on
-  /// every executed run (cold runs report N total / 0 reused, so hit rates
-  /// accumulated over mixed runs stay meaningful); results decoded from a
-  /// serve cache carry all zeros — the codec does not persist them.
-  ReuseCounters reuse;
-  std::string cec = "skipped";
-};
 
 /// Executes a `Pipeline` over AIGs, owning the reusable scratch state.  Not
 /// itself thread-safe: use one engine per thread, or `run_many`, which
@@ -437,12 +427,12 @@ class FlowEngine {
 
   FlowScratch& scratch() { return scratch_; }
 
-  /// Stateless core shared by `run`, `run_many` and `run_flow`: executes
-  /// `pipeline` on `aig` with caller-supplied scratch.
+ private:
+  /// Stateless core shared by `run` and `run_many`: executes `pipeline` on
+  /// `aig` with the given scratch (the engine's own, or a worker's).
   static EngineResult run_with(const Pipeline& pipeline, const Aig& aig,
                                const FlowParams& params, FlowScratch& scratch);
 
- private:
   /// The dispatch both `run_many` overloads share: runs the pipeline on
   /// `aigs[i]` for every `i` in `indices` into `results[i]`, with up to
   /// `num_threads` workers, one index at a time each.  A single worker runs

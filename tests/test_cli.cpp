@@ -194,6 +194,45 @@ TEST(Cli, AigerExportImportRoundTrip) {
   std::remove(aig.c_str());
 }
 
+// --incremental-from primes each configuration's engine with the exported
+// design: mapping the same design again splices every cone, and the stats
+// match an unprimed run — also when the configurations run on two threads.
+TEST(Cli, IncrementalFromPrimesEveryConfig) {
+  const std::string prime = "/tmp/t1map_cli_prime.aag";
+  std::string out;
+  ASSERT_EQ(run_command(kCli + " --gen mul8 --export-aiger " + prime +
+                            " --config t1 --no-cec --json 2>/dev/null",
+                        out),
+            0);
+  const std::string run =
+      kCli + " --gen mul8 --config all --threads 2 --no-cec --json";
+  ASSERT_EQ(run_command(run + " 2>/dev/null", out), 0) << out;
+  const io::Json cold = io::Json::parse(out);
+  ASSERT_EQ(run_command(run + " --incremental-from " + prime + " 2>/dev/null",
+                        out),
+            0)
+      << out;
+  const io::Json warm = io::Json::parse(out);
+  EXPECT_EQ(warm.at("incremental_from").as_string(), prime);
+
+  const io::Json& configs = warm.at("configs");
+  ASSERT_EQ(configs.members().size(), 3u);
+  for (const auto& [key, config] : configs.members()) {
+    const io::Json& reuse = config.at("reuse");
+    EXPECT_GT(reuse.at("map_cones_total").as_number(), 0) << key;
+    EXPECT_EQ(reuse.at("map_cones_reused").as_number(),
+              reuse.at("map_cones_total").as_number())
+        << key;
+    const io::Json& ref = cold.at("configs").at(key);
+    EXPECT_EQ(config.at("jj_total").as_number(),
+              ref.at("jj_total").as_number())
+        << key;
+    EXPECT_EQ(config.at("dffs").as_number(), ref.at("dffs").as_number())
+        << key;
+  }
+  std::remove(prime.c_str());
+}
+
 TEST(Cli, ListGensAndHelp) {
   std::string out;
   ASSERT_EQ(run_command(kCli + " --list-gens", out), 0);

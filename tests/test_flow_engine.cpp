@@ -1,11 +1,13 @@
 // FlowEngine / Pipeline API tests:
 //   * the default pipeline, executed through one engine with reused scratch
 //     state, reproduces the seed golden statistics bit-for-bit on all seven
-//     regression generators (pipeline-equivalence with run_flow);
+//     regression generators (the same rows test_flow_regression checks on
+//     a fresh engine per row);
 //   * run_many is deterministic: the same inputs on 1 vs N threads yield
 //     identical FlowStats (this suite is also the TSan CI target);
-//   * structured diagnostics, pass selection/parsing, and the ordering
-//     contracts of custom pipelines.
+//   * structured diagnostics, pass selection/parsing, the ordering
+//     contracts of custom pipelines, and the partial result of a failed
+//     run.
 
 #include <gtest/gtest.h>
 
@@ -67,26 +69,6 @@ TEST(FlowEngine, DefaultPipelineReproducesGoldenStats) {
     EXPECT_TRUE(r.ok()) << label << ": " << r.diagnostics.to_string();
     expect_stats_match(r.stats, g, label);
   }
-}
-
-// The compatibility wrapper and the engine must agree bit-for-bit, netlists
-// included, not just on statistics.
-TEST(FlowEngine, RunFlowWrapperIsBitForBitIdentical) {
-  const Aig aig = gen::make_named("adder16");
-  FlowParams params;
-  params.num_phases = 4;
-  params.use_t1 = true;
-
-  const FlowResult wrapper = run_flow(aig, params);
-  FlowEngine engine;
-  const EngineResult direct = engine.run(aig, params);
-
-  ASSERT_TRUE(direct.ok());
-  EXPECT_EQ(to_blif(wrapper.materialized.netlist),
-            to_blif(direct.materialized.netlist));
-  EXPECT_EQ(to_blif(wrapper.mapped), to_blif(direct.mapped));
-  EXPECT_EQ(wrapper.stats.area_jj, direct.stats.area_jj);
-  EXPECT_EQ(wrapper.stats.dffs, direct.stats.dffs);
 }
 
 TEST(FlowEngine, RunManyMatchesSingleThreadedExecution) {
@@ -197,6 +179,52 @@ TEST(FlowEngine, OutOfOrderPipelineViolatesContract) {
   bad.add(make_pass("map")).add(make_pass("dff"));
   FlowEngine engine(std::move(bad));
   EXPECT_THROW(engine.run(aig, FlowParams{}), ContractError);
+}
+
+// A failing pass stops the pipeline with a status and an error diagnostic,
+// and the result still carries every output the earlier passes wrote.
+TEST(FlowEngine, FailedRunReturnsStatusDiagnosticAndPartialResult) {
+  class FailingPass final : public Pass {
+   public:
+    const char* name() const override { return "fail"; }
+    bool run(FlowContext& ctx) const override {
+      ctx.fail(FlowStatus::kTimingViolation, name(), "injected failure");
+      return false;
+    }
+  };
+  class RecordingPass final : public Pass {
+   public:
+    explicit RecordingPass(bool* ran) : ran_(ran) {}
+    const char* name() const override { return "record"; }
+    bool run(FlowContext& /*ctx*/) const override {
+      *ran_ = true;
+      return true;
+    }
+
+   private:
+    bool* ran_;
+  };
+
+  bool trailing_ran = false;
+  Pipeline pipeline = Pipeline::parse("map,t1,stage,dff");
+  pipeline.add(std::make_unique<FailingPass>())
+      .add(std::make_unique<RecordingPass>(&trailing_ran));
+  FlowEngine engine(std::move(pipeline));
+  const Aig aig = gen::make_named("adder16");
+  const EngineResult r = engine.run(aig, FlowParams{});
+
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.status, FlowStatus::kTimingViolation);
+  EXPECT_EQ(r.diagnostics.first_error(), "injected failure");
+  EXPECT_TRUE(r.has_materialized);
+  EXPECT_GT(r.mapped.num_nodes(), 0u);
+  EXPECT_GT(r.materialized.netlist.num_nodes(), 0u);
+  EXPECT_GT(r.stats.dffs, 0);
+  EXPECT_EQ(r.stats.t1_used, 15);
+  EXPECT_GT(r.reuse.map_cones_total, 0u);
+  EXPECT_GT(r.times.total_wall, 0.0);
+  EXPECT_EQ(r.cec, "skipped");
+  EXPECT_FALSE(trailing_ran);
 }
 
 TEST(FlowEngine, T1StillRequiresThreePhases) {

@@ -12,7 +12,7 @@
 
 #include "gen/registry.hpp"
 #include "golden_flow.hpp"
-#include "t1/flow.hpp"
+#include "t1/flow_engine.hpp"
 
 namespace t1map {
 namespace {
@@ -29,11 +29,14 @@ TEST(FlowRegression, StatsMatchSeedGolden) {
     params.num_phases = g.phases;
     params.use_t1 = g.use_t1;
     params.verify_rounds = 0;  // stats only; equivalence is tested elsewhere
-    const t1::FlowStats s = t1::run_flow(aig, params).stats;
+    // A fresh engine per row: every row runs cold.
+    const t1::EngineResult r = t1::FlowEngine().run(aig, params);
 
     const std::string label =
         g.gen + " phases=" + std::to_string(g.phases) +
         (g.use_t1 ? " t1" : " baseline");
+    ASSERT_TRUE(r.ok()) << label << ": " << r.diagnostics.to_string();
+    const t1::FlowStats& s = r.stats;
     EXPECT_EQ(s.area_jj, g.jj_total) << label;
     EXPECT_EQ(s.dffs, g.dffs) << label;
     EXPECT_EQ(s.depth_cycles, g.depth_cycles) << label;
