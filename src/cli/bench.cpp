@@ -173,13 +173,8 @@ int run_bench_nearduplicate(const Options& opts) {
   params.use_t1 = true;
   params.verify_rounds = opts.verify_rounds;
   const bool with_cec = false;
-  const auto make_pipeline = [&opts] {  // Pipeline is move-only
-    return opts.skip_checks ? t1::Pipeline::parse("map,t1,stage,dff")
-                            : t1::Pipeline::default_flow(/*with_cec=*/false);
-  };
-
-  t1::FlowEngine warm(make_pipeline());  // cone memo on by default
-  t1::FlowEngine cold(make_pipeline());
+  t1::FlowEngine warm(t1::Pipeline::default_flow(with_cec, opts.skip_checks));
+  t1::FlowEngine cold(t1::Pipeline::default_flow(with_cec, opts.skip_checks));
   cold.set_incremental(false);
 
   io::Json root = bench_header("nearduplicate", opts, with_cec);

@@ -52,8 +52,7 @@ std::vector<std::string> selected_configs(const Options& opts) {
 
 t1::Pipeline build_pipeline(const Options& opts) {
   if (!opts.passes.empty()) return t1::Pipeline::parse(opts.passes);
-  if (opts.skip_checks) return t1::Pipeline::parse("map,t1,stage,dff");
-  return t1::Pipeline::default_flow(/*with_cec=*/opts.run_cec);
+  return t1::Pipeline::default_flow(opts.run_cec, opts.skip_checks);
 }
 
 t1::FlowParams config_params(const std::string& key, const Options& opts) {

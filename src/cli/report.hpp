@@ -24,7 +24,7 @@ struct ConfigResult {
 /// The full run: input summary plus every executed configuration.
 struct Report {
   std::string design;  // benchmark / model name
-  std::string source;  // "gen:<name>" or "blif:<path>"
+  std::string source;  // "gen:<name>", "aiger:<path>" or "blif:<path>"
   std::uint32_t num_pis = 0;
   std::uint32_t num_pos = 0;
   std::uint32_t num_ands = 0;

@@ -37,12 +37,11 @@ int run_serve(const Options& opts) {
   config.drain_timeout_ms = opts.drain_timeout_ms;
 
   serve::Server server(config);
-  if (server.disk_tier() != nullptr) {
+  if (const serve::DiskCache* disk = server.cache().disk()) {
     std::cerr << "t1map: cache dir " << opts.cache_dir << " ("
-              << server.disk_tier()->recovered_entries()
-              << " entries recovered";
-    if (server.disk_tier()->recovered_truncated_bytes() > 0) {
-      std::cerr << ", " << server.disk_tier()->recovered_truncated_bytes()
+              << disk->recovered_entries() << " entries recovered";
+    if (disk->recovered_truncated_bytes() > 0) {
+      std::cerr << ", " << disk->recovered_truncated_bytes()
                 << " torn bytes dropped";
     }
     std::cerr << ")" << std::endl;

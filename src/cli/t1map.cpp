@@ -1,12 +1,14 @@
 // t1map — unified driver for the T1-aware SFQ mapping flow.
 //
-// Reads a circuit (named generator or BLIF), runs the requested Table-I
-// configurations (1φ baseline, nφ baseline, nφ + T1), verifies each mapped
-// netlist against the source with SAT CEC, and prints a stats report as
-// text or JSON.  Optionally exports the final mapped netlist as BLIF/DOT.
+// Reads a circuit (named generator, or an AIGER/BLIF file auto-detected by
+// `--input`), runs the requested Table-I configurations (1φ baseline, nφ
+// baseline, nφ + T1), verifies each mapped netlist against the source with
+// SAT CEC, and prints a stats report as text or JSON.  Optionally exports
+// the final mapped netlist as BLIF/DOT/Verilog.
 //
 //   $ t1map --gen adder16 --config all
-//   $ t1map --blif design.blif --config t1 --json
+//   $ t1map --input design.blif --config t1 --json
+//   $ t1map --input - --config nphi < design.blif
 
 #include <fstream>
 #include <iostream>
@@ -40,50 +42,40 @@ std::string slurp(const std::string& path) {
   return buffer.str();
 }
 
+/// A circuit read from a file.
+struct LoadedCircuit {
+  Aig aig;
+  std::string format;  // "aiger" or "blif"
+  std::string design;  // BLIF model name, else the path ("aiger" for stdin)
+};
+
+/// Reads an AIGER or BLIF file ("-" = stdin).  The format is detected from
+/// the leading bytes: both AIGER variants start with their magic word,
+/// anything else is treated as BLIF.
+LoadedCircuit load_file(const std::string& path) {
+  const std::string text = slurp(path);
+  LoadedCircuit in;
+  if (text.rfind("aag ", 0) == 0 || text.rfind("aig ", 0) == 0) {
+    in.aig = io::read_aiger_string(text);
+    in.format = "aiger";
+    in.design = path == "-" ? "aiger" : path;
+  } else {
+    in.aig = io::read_blif_string(text, &in.design);
+    in.format = "blif";
+  }
+  return in;
+}
+
 Aig load_input(const Options& opts, Report& report) {
   if (!opts.gen_name.empty()) {
     report.design = opts.gen_name;
     report.source = "gen:" + opts.gen_name;
     return gen::make_named(opts.gen_name);
   }
-  if (!opts.input_path.empty()) {
-    // Auto-detect from the leading bytes: both AIGER variants start with
-    // their magic word, anything else is treated as BLIF.
-    const std::string text = slurp(opts.input_path);
-    const bool aiger = text.rfind("aag ", 0) == 0 || text.rfind("aig ", 0) == 0;
-    report.source = (aiger ? "aiger:" : "blif:") + opts.input_path;
-    if (aiger) {
-      report.design = opts.input_path == "-" ? "aiger" : opts.input_path;
-      return io::read_aiger_string(text);
-    }
-    std::string model_name;
-    Aig aig = io::read_blif_string(text, &model_name);
-    report.design = model_name;
-    return aig;
-  }
-  report.source = "blif:" + opts.blif_path;
-  std::string model_name;
-  Aig aig;
-  if (opts.blif_path == "-") {
-    aig = io::read_blif(std::cin, &model_name);
-  } else {
-    std::ifstream ifs(opts.blif_path);
-    T1MAP_REQUIRE(ifs.good(), "cannot open BLIF file: " + opts.blif_path);
-    aig = io::read_blif(ifs, &model_name);
-  }
-  report.design = model_name;
-  return aig;
-}
-
-/// Loads the --incremental-from priming design (AIGER or BLIF,
-/// auto-detected like --input; stdin is not allowed here).
-Aig load_prime(const std::string& path) {
-  T1MAP_REQUIRE(path != "-", "--incremental-from cannot read stdin");
-  const std::string text = slurp(path);
-  if (text.rfind("aag ", 0) == 0 || text.rfind("aig ", 0) == 0) {
-    return io::read_aiger_string(text);
-  }
-  return io::read_blif_string(text);
+  LoadedCircuit in = load_file(opts.input_path);
+  report.design = std::move(in.design);
+  report.source = in.format + ":" + opts.input_path;
+  return std::move(in.aig);
 }
 
 void export_netlist(const Options& opts, const ConfigResult& config) {
@@ -141,7 +133,9 @@ int run(const Options& opts) {
 
   Aig prime;
   if (!opts.incremental_from.empty()) {
-    prime = load_prime(opts.incremental_from);
+    T1MAP_REQUIRE(opts.incremental_from != "-",
+                  "--incremental-from cannot read stdin");
+    prime = load_file(opts.incremental_from).aig;
     report.incremental_from = opts.incremental_from;
   }
   report.configs =

@@ -203,7 +203,7 @@ void DiskCache::recover_index() {
     const char* base = static_cast<const char*>(map) + kHeaderBytes;
     for (std::uint64_t i = 0; i < usable; ++i) {
       const char* e = base + i * kIndexEntryBytes;
-      t1::RunKey key{get_u64(e), get_u64(e + 8)};
+      CacheKey key{get_u64(e), get_u64(e + 8)};
       const std::uint64_t offset = get_u64(e + 16);
       const std::uint32_t len = get_u32(e + 24);
       // Subtraction form: immune to offset+len overflow from garbage.
@@ -235,7 +235,7 @@ void DiskCache::recover_index() {
   recovered_ = index_.size();
 }
 
-bool DiskCache::lookup(const t1::RunKey& key, t1::EngineResult& out) {
+bool DiskCache::lookup(const CacheKey& key, t1::EngineResult& out) {
   Loc loc;
   {
     const std::lock_guard<std::mutex> lock(mu_);
@@ -279,7 +279,7 @@ bool DiskCache::lookup(const t1::RunKey& key, t1::EngineResult& out) {
   return true;
 }
 
-void DiskCache::store(const t1::RunKey& key, const t1::EngineResult& result) {
+void DiskCache::store(const CacheKey& key, const t1::EngineResult& result) {
   if (!result.ok()) return;  // failed runs carry partial state
   {
     const std::lock_guard<std::mutex> lock(mu_);
@@ -323,8 +323,8 @@ void DiskCache::store(const t1::RunKey& key, const t1::EngineResult& result) {
   insertions_.fetch_add(1, std::memory_order_relaxed);
 }
 
-t1::CacheStats DiskCache::stats() const {
-  t1::CacheStats s;
+CacheStats DiskCache::stats() const {
+  CacheStats s;
   s.hits = hits_.load(std::memory_order_relaxed);
   s.misses = misses_.load(std::memory_order_relaxed);
   s.insertions = insertions_.load(std::memory_order_relaxed);

@@ -25,8 +25,8 @@
 /// verified on every lookup; a corrupt record is dropped from the index
 /// and reported as a miss — the cache heals rather than serves garbage.
 ///
-/// Keys are the platform-stable 128-bit digest × params fingerprints, so a
-/// cache directory written by one build/host warm-starts any other.
+/// Keys are platform-stable `CacheKey`s (cache_key.hpp), so a cache
+/// directory written by one build/host warm-starts any other.
 ///
 /// Thread safety: the index map and the append path are mutex-guarded;
 /// record reads go through `pread` on immutable log regions, so concurrent
@@ -41,7 +41,7 @@
 #include <string>
 #include <unordered_map>
 
-#include "serve/tiered_cache.hpp"
+#include "serve/cache_key.hpp"
 
 namespace t1map::serve {
 
@@ -57,23 +57,23 @@ struct DiskCacheConfig {
   bool fsync_stores = false;
 };
 
-class DiskCache final : public CacheTier {
+class DiskCache {
  public:
   /// Opens (or creates) the store, locks the directory and recovers the
   /// index.  Throws `ContractError` when the directory is unusable, holds
   /// an incompatible cache, or is locked by another `DiskCache` (in this
   /// process or another); the destructor releases the lock.
   explicit DiskCache(DiskCacheConfig config);
-  ~DiskCache() override;
+  ~DiskCache();
 
   DiskCache(const DiskCache&) = delete;
   DiskCache& operator=(const DiskCache&) = delete;
 
-  // CacheTier.
-  bool lookup(const t1::RunKey& key, t1::EngineResult& out) override;
-  void store(const t1::RunKey& key, const t1::EngineResult& result) override;
-  t1::CacheStats stats() const override;
-  const char* tier_name() const override { return "disk"; }
+  /// Fills `out` and returns true when `key` has an intact record.
+  bool lookup(const CacheKey& key, t1::EngineResult& out);
+  /// Appends a successful result (failed runs are ignored).
+  void store(const CacheKey& key, const t1::EngineResult& result);
+  CacheStats stats() const;
 
   /// Entries recovered by the warm-start scan of the boot.
   std::uint64_t recovered_entries() const { return recovered_; }
@@ -84,11 +84,6 @@ class DiskCache final : public CacheTier {
   struct Loc {
     std::uint64_t offset = 0;  // of the record header in the log
     std::uint32_t payload_len = 0;
-  };
-  struct KeyHash {
-    std::size_t operator()(const t1::RunKey& k) const {
-      return static_cast<std::size_t>(k.hi ^ (k.lo * 0x9E3779B97F4A7C15ull));
-    }
   };
 
   void lock_directory();
@@ -104,7 +99,7 @@ class DiskCache final : public CacheTier {
   int lock_fd_ = -1;  // holds flock(LOCK_EX) on <dir>/lock
 
   mutable std::mutex mu_;  // index map + append path
-  std::unordered_map<t1::RunKey, Loc, KeyHash> index_;
+  std::unordered_map<CacheKey, Loc, CacheKeyHash> index_;
   std::uint64_t records_size_ = 0;
   std::uint64_t index_size_ = 0;
 

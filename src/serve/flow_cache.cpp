@@ -44,7 +44,7 @@ FlowCache::FlowCache(CacheConfig config)
       shard_budget_(config.max_bytes / (shard_mask_ + 1)),
       shards_(shard_mask_ + 1) {}
 
-bool FlowCache::lookup(const t1::RunKey& key, t1::EngineResult& out) {
+bool FlowCache::lookup(const CacheKey& key, t1::EngineResult& out) {
   Shard& shard = shard_for(key);
   const std::lock_guard<std::mutex> lock(shard.mu);
   const auto it = shard.index.find(key);
@@ -58,7 +58,7 @@ bool FlowCache::lookup(const t1::RunKey& key, t1::EngineResult& out) {
   return true;
 }
 
-void FlowCache::store(const t1::RunKey& key, const t1::EngineResult& result) {
+void FlowCache::store(const CacheKey& key, const t1::EngineResult& result) {
   // Failed runs never enter the cache: their netlists are partial state.
   if (!result.ok()) return;
 
@@ -105,8 +105,8 @@ void FlowCache::store(const t1::RunKey& key, const t1::EngineResult& result) {
   }
 }
 
-t1::CacheStats FlowCache::stats() const {
-  t1::CacheStats total;
+CacheStats FlowCache::stats() const {
+  CacheStats total;
   for (const Shard& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard.mu);
     total.hits += shard.hits;

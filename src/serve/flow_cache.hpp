@@ -2,9 +2,8 @@
 /// \brief Sharded, thread-safe in-memory LRU cache of mapped flow results
 /// — the memory tier of the serving cache.
 ///
-/// Implements the `CacheTier` surface (and through it `t1::RunCache`):
-/// keys are 128-bit `(AIG digest, configuration fingerprint)` values (see
-/// aig_hash.hpp and `t1::params_fingerprint`), entries hold the complete
+/// Keys are 128-bit `CacheKey`s (AIG digest x configuration, see
+/// cache_key.hpp), entries hold the complete
 /// `EngineResult` — mapped netlist, materialized netlist, Table-I
 /// statistics, diagnostics and the CEC verdict — so a hit reproduces a
 /// cold `run` bit for bit (stage times excepted: they are zeroed, a cached
@@ -26,7 +25,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "serve/tiered_cache.hpp"
+#include "serve/cache_key.hpp"
 #include "t1/flow_engine.hpp"
 
 namespace t1map::serve {
@@ -43,15 +42,15 @@ struct CacheConfig {
 /// the budget exists to bound memory, not to bill it exactly.
 std::size_t estimate_result_bytes(const t1::EngineResult& result);
 
-class FlowCache final : public CacheTier {
+class FlowCache {
  public:
   explicit FlowCache(CacheConfig config = {});
 
-  // CacheTier.
-  bool lookup(const t1::RunKey& key, t1::EngineResult& out) override;
-  void store(const t1::RunKey& key, const t1::EngineResult& result) override;
-  t1::CacheStats stats() const override;
-  const char* tier_name() const override { return "memory"; }
+  /// Fills `out` and returns true when `key` is resident.
+  bool lookup(const CacheKey& key, t1::EngineResult& out);
+  /// Retains a successful result (failed runs are ignored).
+  void store(const CacheKey& key, const t1::EngineResult& result);
+  CacheStats stats() const;
 
   void clear();
 
@@ -62,15 +61,8 @@ class FlowCache final : public CacheTier {
   std::vector<std::uint64_t> shard_occupancy() const;
 
  private:
-  struct KeyHash {
-    std::size_t operator()(const t1::RunKey& k) const {
-      // The key is already a high-quality hash; fold the halves.
-      return static_cast<std::size_t>(k.hi ^ (k.lo * 0x9E3779B97F4A7C15ull));
-    }
-  };
-
   struct Entry {
-    t1::RunKey key;
+    CacheKey key;
     t1::EngineResult result;
     std::size_t bytes = 0;
   };
@@ -78,7 +70,8 @@ class FlowCache final : public CacheTier {
   struct Shard {
     mutable std::mutex mu;
     std::list<Entry> lru;  // front = most recently used
-    std::unordered_map<t1::RunKey, std::list<Entry>::iterator, KeyHash> index;
+    std::unordered_map<CacheKey, std::list<Entry>::iterator, CacheKeyHash>
+        index;
     std::size_t bytes = 0;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
@@ -86,7 +79,7 @@ class FlowCache final : public CacheTier {
     std::uint64_t evictions = 0;
   };
 
-  Shard& shard_for(const t1::RunKey& key) {
+  Shard& shard_for(const CacheKey& key) {
     return shards_[static_cast<std::size_t>(key.hi) & shard_mask_];
   }
 

@@ -1,5 +1,6 @@
 #include "serve/server.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -14,7 +15,6 @@
 #include "io/aiger.hpp"
 #include "io/blif.hpp"
 #include "io/json.hpp"
-#include "serve/disk_cache.hpp"
 #include "serve/json_out.hpp"
 
 namespace t1map::serve {
@@ -53,7 +53,7 @@ double stage_times_ms(const t1::StageTimes& t) {
                 t.self_check + t.cec);
 }
 
-void write_cache_stats_fields(io::JsonWriter& w, const t1::CacheStats& c) {
+void write_cache_stats_fields(io::JsonWriter& w, const CacheStats& c) {
   w.key("hits").value(c.hits).key("misses").value(c.misses);
   w.key("insertions").value(c.insertions);
   w.key("evictions").value(c.evictions);
@@ -72,10 +72,9 @@ struct Server::Job {
   std::string config_name = "t1";  // latency-histogram key
   Aig aig;
   t1::FlowParams params;
-  bool with_cec = true;
-  t1::RunKey key;
+  std::string pipeline;  // Pipeline::spec() of the passes the job runs
+  CacheKey key;
   std::uint64_t group = 0;  // configuration fingerprint (grouping key)
-  bool dispatched = false;
   bool cached = false;
   t1::EngineResult result;
 };
@@ -88,18 +87,9 @@ struct Server::SessionState {
   std::atomic<bool> done{false};
 };
 
-Server::Server(ServeConfig config) : config_(std::move(config)) {
-  auto memory = std::make_unique<FlowCache>(config_.cache);
-  memory_tier_ = memory.get();
-  cache_.add_tier(std::move(memory));
-  if (!config_.cache_dir.empty()) {
-    DiskCacheConfig disk;
-    disk.dir = config_.cache_dir;
-    auto tier = std::make_unique<DiskCache>(disk);
-    disk_tier_ = tier.get();
-    cache_.add_tier(std::move(tier));
-  }
-}
+Server::Server(ServeConfig config)
+    : config_(std::move(config)),
+      cache_(config_.cache, config_.cache_dir) {}
 
 Server::Job Server::parse_request(const std::string& line, std::uint64_t seq,
                                   AigHasher& hasher) const {
@@ -179,33 +169,25 @@ Server::Job Server::parse_request(const std::string& line, std::uint64_t seq,
                   "the t1 config needs phases >= 3");
     job.params.verify_rounds = int_field(request, "verify_rounds",
                                          defaults.verify_rounds, 0, 1 << 20);
-    job.with_cec = defaults.cec;
-    if (const io::Json* cec = request.find("cec")) {
-      job.with_cec = cec->as_bool();
-    }
-    if (defaults.skip_checks) job.with_cec = false;
+    bool with_cec = defaults.cec;
+    if (const io::Json* cec = request.find("cec")) with_cec = cec->as_bool();
+    job.pipeline =
+        t1::Pipeline::default_flow(with_cec, defaults.skip_checks).spec();
   } catch (const ContractError& e) {
     job.error = e.what();
     return job;
   }
 
-  // Cache key: structural AIG digest x configuration fingerprint x pipeline
-  // shape.  `group` keys the run_many batching (same configuration =>
-  // same group), the full `key` addresses the cache.
-  const Digest digest = hasher.hash(job.aig);
-  const std::uint64_t pipeline_shape =
-      defaults.skip_checks ? t1::fingerprint_string("map,t1,stage,dff")
-                           : (job.with_cec ? t1::fingerprint_string("cec")
-                                           : t1::fingerprint_string("default"));
-  job.group = t1::params_fingerprint(job.params) ^ pipeline_shape;
-  job.key.hi = digest.hi ^ job.group;
-  job.key.lo = digest.lo ^ (job.group * 0x9E3779B97F4A7C15ull);
+  // `group` keys the run_many batching (same configuration => same group),
+  // the full `key` addresses the cache.
+  job.group = config_fingerprint(job.params, job.pipeline);
+  job.key = cache_key(hasher.hash(job.aig), job.params, job.pipeline);
   return job;
 }
 
 void Server::process_batch(t1::FlowEngine& engine, std::vector<Job>& batch) {
-  // Group flow jobs by configuration fingerprint; each group is one
-  // cache-aware run_many dispatch.
+  // Group flow jobs by configuration; each group's cache misses are one
+  // run_many dispatch.
   std::vector<std::uint64_t> groups;
   for (const Job& job : batch) {
     if (!job.error.empty() || !job.cmd.empty()) continue;
@@ -215,40 +197,46 @@ void Server::process_batch(t1::FlowEngine& engine, std::vector<Job>& batch) {
   }
 
   for (const std::uint64_t group : groups) {
+    const auto start = std::chrono::steady_clock::now();
+    // Hits fill without touching the flow; the first job of each missing
+    // key is computed, and its later repeats in the batch are aliases.
     std::vector<std::size_t> members;
-    std::vector<const Aig*> aigs;
-    std::vector<t1::RunKey> keys;
+    std::vector<std::size_t> misses;
+    std::vector<std::pair<std::size_t, std::size_t>> aliases;  // (job, miss)
     for (std::size_t i = 0; i < batch.size(); ++i) {
       Job& job = batch[i];
       if (!job.error.empty() || !job.cmd.empty() || job.group != group) {
         continue;
       }
       members.push_back(i);
-      aigs.push_back(&job.aig);
-      keys.push_back(job.key);
+      if (cache_.lookup(job.key, job.result)) {
+        job.cached = true;
+        continue;
+      }
+      const auto rep = std::find_if(
+          misses.begin(), misses.end(),
+          [&](std::size_t m) { return batch[m].key == job.key; });
+      if (rep != misses.end()) {
+        aliases.emplace_back(i, *rep);
+      } else {
+        misses.push_back(i);
+      }
     }
 
     const Job& first = batch[members.front()];
-    engine.set_pipeline(
-        config_.defaults.skip_checks
-            ? t1::Pipeline::parse("map,t1,stage,dff")
-            : t1::Pipeline::default_flow(/*with_cec=*/first.with_cec));
-    const auto start = std::chrono::steady_clock::now();
-    std::vector<std::uint8_t> cached;
-    std::vector<t1::EngineResult> results = engine.run_many(
-        aigs, first.params, config_.threads, &cache_, keys, &cached);
-    const double dispatch_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - start)
-            .count();
-    for (std::size_t m = 0; m < members.size(); ++m) {
-      Job& job = batch[members[m]];
-      job.result = std::move(results[m]);
-      job.cached = cached[m] != 0;
-      job.dispatched = true;
-      // Cache hits decode with zeroed reuse counters; count only computed
-      // ok-runs so the reported hit rates cover actual flow executions.
-      if (!job.cached && job.result.ok()) {
+    if (!misses.empty()) {
+      std::vector<const Aig*> aigs;
+      for (const std::size_t m : misses) aigs.push_back(&batch[m].aig);
+      engine.set_pipeline(t1::Pipeline::parse(first.pipeline));
+      std::vector<t1::EngineResult> results =
+          engine.run_many(aigs, first.params, config_.threads);
+      for (std::size_t k = 0; k < misses.size(); ++k) {
+        Job& job = batch[misses[k]];
+        job.result = std::move(results[k]);
+        // Only ok-results are stored: a failed run carries partial state
+        // that must not masquerade as a mapped design on a later hit.
+        if (!job.result.ok()) continue;
+        cache_.store(job.key, job.result);
         const t1::ReuseCounters& r = job.result.reuse;
         inc_flow_runs_.fetch_add(1, std::memory_order_relaxed);
         inc_map_total_.fetch_add(r.map_cones_total,
@@ -257,6 +245,18 @@ void Server::process_batch(t1::FlowEngine& engine, std::vector<Job>& batch) {
                                   std::memory_order_relaxed);
       }
     }
+    // Aliases re-read through the cache so hit counters stay truthful; a
+    // failed representative (never stored) is copied directly instead.
+    for (const auto& [i, rep] : aliases) {
+      Job& job = batch[i];
+      job.cached = cache_.lookup(job.key, job.result);
+      if (!job.cached) job.result = batch[rep].result;
+    }
+
+    const double dispatch_ms =
+        std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - start)
+            .count();
     // One dispatch-latency sample per job in the group: "what did a
     // request of this config cost end to end", cache hits included.
     const std::lock_guard<std::mutex> lock(latency_mu_);
@@ -286,22 +286,17 @@ void Server::write_response(Connection& conn, const Job& job) {
     w.key("cache").begin_object();
     write_cache_stats_fields(w, cache_.stats());
     w.key("tiers").begin_array();
-    for (std::size_t i = 0; i < cache_.num_tiers(); ++i) {
-      const CacheTier& tier = cache_.tier(i);
-      w.begin_object().key("name").value(tier.tier_name());
-      write_cache_stats_fields(w, tier.stats());
-      if (&tier == memory_tier_) {
-        w.key("shards").begin_array();
-        for (const std::uint64_t n : memory_tier_->shard_occupancy()) {
-          w.value(n);
-        }
-        w.end_array();
-      }
-      if (&tier == disk_tier_) {
-        w.key("recovered_entries").value(disk_tier_->recovered_entries());
-        w.key("recovered_truncated_bytes")
-            .value(disk_tier_->recovered_truncated_bytes());
-      }
+    w.begin_object().key("name").value("memory");
+    write_cache_stats_fields(w, cache_.memory().stats());
+    w.key("shards").begin_array();
+    for (const std::uint64_t n : cache_.memory().shard_occupancy()) w.value(n);
+    w.end_array().end_object();
+    if (const DiskCache* disk = cache_.disk()) {
+      w.begin_object().key("name").value("disk");
+      write_cache_stats_fields(w, disk->stats());
+      w.key("recovered_entries").value(disk->recovered_entries());
+      w.key("recovered_truncated_bytes")
+          .value(disk->recovered_truncated_bytes());
       w.end_object();
     }
     w.end_array().end_object();
@@ -493,7 +488,7 @@ ServeCounters Server::counters() const {
 
 std::string Server::summary() const {
   const ServeCounters n = counters();
-  const t1::CacheStats c = cache_.stats();
+  const CacheStats c = cache_.stats();
   std::ostringstream os;
   os << n.requests << " requests in " << n.batches << " batches ("
      << n.errors << " errors), cache: " << c.hits << " hits / " << c.misses

@@ -23,14 +23,17 @@
 ///
 /// Execution model: the server accepts connections from a `Transport` and
 /// runs one session thread per connection.  Each session reads requests in
-/// batches (up to `ServeConfig::batch_size` lines), hashes them
-/// (`AigHasher`), groups by configuration fingerprint, and dispatches
-/// group-wise onto the cache-aware `FlowEngine::run_many` — hits fill
-/// without touching the flow, misses run on `threads` workers, duplicates
-/// within a batch compute once.  Sessions share one `TieredCache`
-/// (in-memory `FlowCache`, optionally backed by a persistent `DiskCache`
-/// under `cache_dir`), so any client's cold run is every client's warm
-/// hit — across server restarts when the disk tier is on.  Everything
+/// batches (up to `ServeConfig::batch_size` lines), keys them
+/// (`cache_key`: AIG digest x params x pipeline) and groups them by
+/// configuration.  Per group it owns the whole cache path: look every job
+/// up, fold repeats within the batch onto their first miss, run only the
+/// misses through `FlowEngine::run_many` on `threads` workers, store the
+/// ok-results, then serve the repeats from the cache.  Sessions share one
+/// `TieredCache` (in-memory `FlowCache`, optionally backed by a persistent
+/// `DiskCache` under `cache_dir`), so any client's cold run is every
+/// client's warm hit — across server restarts when the disk tier is on.
+/// Each session's engine keeps a cone memo, so an edit of a design the
+/// session just mapped splices its unchanged cones.  Everything
 /// except the timing fields is deterministic: a given request script
 /// produces byte-identical responses regardless of worker count or
 /// transport.
@@ -59,8 +62,6 @@
 #include "t1/flow_engine.hpp"
 
 namespace t1map::serve {
-
-class DiskCache;
 
 /// Per-request defaults applied when a flow-job omits the field.  Shared
 /// by the server and the CLI so "what does an empty request mean" has one
@@ -113,12 +114,9 @@ class Server {
   /// ignored.
   std::uint64_t serve(std::istream& in, std::ostream& out);
 
-  /// The shared two-tier cache (tier 0 = memory, tier 1 = disk when
-  /// configured).
+  /// The shared cache: memory, plus disk when `cache_dir` is set.
   const TieredCache& cache() const { return cache_; }
   TieredCache& cache() { return cache_; }
-  /// The disk tier, or nullptr when no `cache_dir` was configured.
-  const DiskCache* disk_tier() const { return disk_tier_; }
 
   ServeCounters counters() const;
 
@@ -138,8 +136,6 @@ class Server {
 
   ServeConfig config_;
   TieredCache cache_;
-  FlowCache* memory_tier_ = nullptr;  // borrowed from cache_
-  DiskCache* disk_tier_ = nullptr;    // borrowed from cache_; may be null
 
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> responses_{0};
@@ -148,11 +144,11 @@ class Server {
   std::atomic<std::uint64_t> connections_{0};
 
   // Mapper cone-memo (incremental mapping) reuse, accumulated over every
-  // computed (non-cached) flow run; the `stats` response reports them with
-  // a hit rate.  Single-threaded dispatch runs on the engine's own scratch
-  // and splices from its memo; multi-worker dispatch uses per-worker
-  // scratches without a memo, so the reused count stays zero there by
-  // construction.
+  // computed (non-cached) ok flow run; the `stats` response reports them
+  // with a hit rate.  Single-threaded dispatch runs on the session engine's
+  // own scratch and splices from its memo; multi-worker dispatch uses
+  // per-worker scratches without a memo, so the reused count stays zero
+  // there by construction.
   std::atomic<std::uint64_t> inc_flow_runs_{0};
   std::atomic<std::uint64_t> inc_map_total_{0};
   std::atomic<std::uint64_t> inc_map_reused_{0};

@@ -4,46 +4,45 @@
 
 namespace t1map::serve {
 
-CacheTier& TieredCache::add_tier(std::unique_ptr<CacheTier> tier) {
-  tiers_.push_back(std::move(tier));
-  return *tiers_.back();
+TieredCache::TieredCache(CacheConfig memory, std::string disk_dir)
+    : memory_(memory) {
+  if (disk_dir.empty()) return;
+  DiskCacheConfig disk;
+  disk.dir = std::move(disk_dir);
+  disk_ = std::make_unique<DiskCache>(std::move(disk));
 }
 
-bool TieredCache::lookup(const t1::RunKey& key, t1::EngineResult& out) {
-  for (std::size_t i = 0; i < tiers_.size(); ++i) {
-    if (!tiers_[i]->lookup(key, out)) continue;
-    // Promote into every faster tier so the next lookup stops there.
-    for (std::size_t j = 0; j < i; ++j) tiers_[j]->store(key, out);
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return true;
+bool TieredCache::lookup(const CacheKey& key, t1::EngineResult& out) {
+  bool hit = memory_.lookup(key, out);
+  if (!hit && disk_ != nullptr && disk_->lookup(key, out)) {
+    // Promote so the next lookup stops at the memory tier.
+    memory_.store(key, out);
+    hit = true;
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return false;
+  (hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
+  return hit;
 }
 
-void TieredCache::store(const t1::RunKey& key,
-                        const t1::EngineResult& result) {
+void TieredCache::store(const CacheKey& key, const t1::EngineResult& result) {
   if (!result.ok()) return;  // tiers reject these too; don't count them
   insertions_.fetch_add(1, std::memory_order_relaxed);
-  for (const std::unique_ptr<CacheTier>& tier : tiers_) {
-    tier->store(key, result);
-  }
+  memory_.store(key, result);
+  if (disk_ != nullptr) disk_->store(key, result);
 }
 
-t1::CacheStats TieredCache::stats() const {
-  t1::CacheStats s;
+CacheStats TieredCache::stats() const {
+  CacheStats s;
   s.hits = hits_.load(std::memory_order_relaxed);
   s.misses = misses_.load(std::memory_order_relaxed);
   s.insertions = insertions_.load(std::memory_order_relaxed);
-  // Evictions and residency are per-tier facts; the composition reports
-  // their totals (entries may count one key in several tiers — that is
-  // the honest answer for "how much is resident").
-  for (const std::unique_ptr<CacheTier>& tier : tiers_) {
-    const t1::CacheStats t = tier->stats();
-    s.evictions += t.evictions;
-    s.entries += t.entries;
-    s.bytes += t.bytes;
-  }
+  // Evictions and residency are per-tier facts; the pair reports their
+  // totals (entries may count one key in both tiers — that is the honest
+  // answer for "how much is resident").
+  const CacheStats m = memory_.stats();
+  const CacheStats d = disk_ != nullptr ? disk_->stats() : CacheStats{};
+  s.evictions = m.evictions + d.evictions;
+  s.entries = m.entries + d.entries;
+  s.bytes = m.bytes + d.bytes;
   return s;
 }
 

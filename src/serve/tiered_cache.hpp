@@ -1,63 +1,56 @@
 /// \file tiered_cache.hpp
-/// \brief The tiered result-cache composition behind the serving layer.
+/// \brief The serving layer's result cache: an in-memory `FlowCache` in
+/// front of an optional persistent `DiskCache`.
 ///
-/// `CacheTier` is one storage level — the in-memory `FlowCache`, the
-/// disk-backed `DiskCache` — exposing the generalized `t1::RunCache`
-/// surface (`lookup`/`store`/`stats`) plus a stable tier name for
-/// introspection.  `TieredCache` chains tiers fastest-first:
+///   * `lookup` tries memory, then disk; a disk hit is *promoted* — stored
+///     into memory — so a result recovered from disk after a restart pays
+///     the decode exactly once and is served from memory thereafter;
+///   * `store` writes through to both tiers;
+///   * `stats` reports the pair's own lookup/store outcomes (a hit in
+///     either tier is one tiered hit; a miss means both missed) plus the
+///     tiers' resident totals.  Per-tier counters stay available through
+///     `memory().stats()` and `disk()->stats()`.
 ///
-///   * `lookup` consults tiers in order; a hit in a lower tier is
-///     *promoted* — stored into every faster tier above it — so a result
-///     recovered from disk after a restart pays the decode exactly once
-///     and is served from memory thereafter;
-///   * `store` writes through to every tier;
-///   * `stats` reports the composition's own lookup/store outcomes (a hit
-///     in *any* tier is one tiered hit; a miss means every tier missed)
-///     plus the tiers' resident totals.  Per-tier counters stay available
-///     through `tier(i).stats()`.
-///
-/// Thread safety: `TieredCache` adds only atomic counters of its own; it
-/// is as concurrent as its tiers (both production tiers are fully
-/// thread-safe), so any number of serve sessions may share one instance.
+/// Thread safety: `TieredCache` adds only atomic counters of its own; both
+/// tiers are fully thread-safe, so any number of serve sessions may share
+/// one instance.
 
 #pragma once
 
 #include <atomic>
-#include <cstddef>
+#include <cstdint>
 #include <memory>
-#include <vector>
+#include <string>
 
+#include "serve/cache_key.hpp"
+#include "serve/disk_cache.hpp"
+#include "serve/flow_cache.hpp"
 #include "t1/flow_engine.hpp"
 
 namespace t1map::serve {
 
-/// One storage level of a `TieredCache`.
-class CacheTier : public t1::RunCache {
+class TieredCache {
  public:
-  /// Stable introspection name ("memory", "disk").
-  virtual const char* tier_name() const = 0;
-};
+  /// A memory tier sized by `memory`, plus a disk tier in `disk_dir` when
+  /// it is non-empty (throws `ContractError` as `DiskCache` does when that
+  /// directory is unusable).
+  explicit TieredCache(CacheConfig memory = {}, std::string disk_dir = {});
 
-class TieredCache final : public t1::RunCache {
- public:
-  TieredCache() = default;
+  /// Fills `out` and returns true when `key` is in either tier.
+  bool lookup(const CacheKey& key, t1::EngineResult& out);
+  /// Offers a freshly computed result to both tiers; failed runs are
+  /// stored nowhere and not counted.
+  void store(const CacheKey& key, const t1::EngineResult& result);
+  CacheStats stats() const;
 
-  /// Appends a tier; tiers are consulted in insertion order, so add the
-  /// fastest first.  Returns the tier for convenient post-construction
-  /// access.
-  CacheTier& add_tier(std::unique_ptr<CacheTier> tier);
-
-  // t1::RunCache.
-  bool lookup(const t1::RunKey& key, t1::EngineResult& out) override;
-  void store(const t1::RunKey& key, const t1::EngineResult& result) override;
-  t1::CacheStats stats() const override;
-
-  std::size_t num_tiers() const { return tiers_.size(); }
-  CacheTier& tier(std::size_t i) { return *tiers_[i]; }
-  const CacheTier& tier(std::size_t i) const { return *tiers_[i]; }
+  FlowCache& memory() { return memory_; }
+  const FlowCache& memory() const { return memory_; }
+  /// The disk tier, or nullptr when none was configured.
+  const DiskCache* disk() const { return disk_.get(); }
 
  private:
-  std::vector<std::unique_ptr<CacheTier>> tiers_;
+  FlowCache memory_;
+  std::unique_ptr<DiskCache> disk_;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> insertions_{0};

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <exception>
 #include <mutex>
-#include <numeric>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -288,13 +287,14 @@ std::string Pipeline::spec() const {
   return out;
 }
 
-Pipeline Pipeline::default_flow(bool with_cec) {
+Pipeline Pipeline::default_flow(bool with_cec, bool skip_checks) {
   Pipeline p;
   p.add(std::make_unique<MapPass>())
       .add(std::make_unique<T1DetectPass>())
       .add(std::make_unique<StageAssignPass>())
-      .add(std::make_unique<DffInsertPass>())
-      .add(std::make_unique<TimingCheckPass>())
+      .add(std::make_unique<DffInsertPass>());
+  if (skip_checks) return p;
+  p.add(std::make_unique<TimingCheckPass>())
       .add(std::make_unique<SimEquivPass>());
   if (with_cec) p.add(std::make_unique<SatCecPass>());
   return p;
@@ -341,7 +341,7 @@ const std::vector<std::string>& Pipeline::known_passes() {
   return names;
 }
 
-// --- Result-caching hook -----------------------------------------------------
+// --- Params fingerprint ------------------------------------------------------
 
 std::uint64_t params_fingerprint(const FlowParams& params) {
   // Every field that can change the mapped netlist, the reported
@@ -362,15 +362,6 @@ std::uint64_t params_fingerprint(const FlowParams& params) {
   h = absorb(h, static_cast<std::uint64_t>(params.verify_rounds));
   h = absorb(h, static_cast<std::uint64_t>(params.cec_conflict_limit));
   // Deliberately excluded: `sat_portfolio`, which nothing reads.
-  return h;
-}
-
-std::uint64_t fingerprint_string(std::string_view text) {
-  std::uint64_t h = 0xCBF29CE484222325ull;  // FNV-1a offset basis
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ull;
-  }
   return h;
 }
 
@@ -468,27 +459,6 @@ void for_each_with_scratch(
   if (first_error) std::rethrow_exception(first_error);
 }
 
-void FlowEngine::run_indices(std::span<const Aig* const> aigs,
-                             std::span<const std::size_t> indices,
-                             const FlowParams& params, int num_threads,
-                             std::vector<EngineResult>& results) {
-  if (indices.empty()) return;
-  if (num_threads <= 1 || indices.size() == 1) {
-    // Sequential runs stay on the engine's own scratch so capacity keeps
-    // accumulating across run()/run_many() calls.
-    for (const std::size_t i : indices) {
-      results[i] = run_with(pipeline_, *aigs[i], params, scratch_);
-    }
-    return;
-  }
-  for_each_with_scratch(indices.size(), num_threads,
-                        [&](std::size_t k, FlowScratch& scratch) {
-                          const std::size_t i = indices[k];
-                          results[i] =
-                              run_with(pipeline_, *aigs[i], params, scratch);
-                        });
-}
-
 std::vector<EngineResult> FlowEngine::run_many(
     std::span<const Aig* const> aigs, const FlowParams& params,
     int num_threads) {
@@ -496,66 +466,19 @@ std::vector<EngineResult> FlowEngine::run_many(
     T1MAP_REQUIRE(aig != nullptr, "run_many: null AIG in batch");
   }
   std::vector<EngineResult> results(aigs.size());
-  std::vector<std::size_t> all(aigs.size());
-  std::iota(all.begin(), all.end(), std::size_t{0});
-  run_indices(aigs, all, params, num_threads, results);
-  return results;
-}
-
-std::vector<EngineResult> FlowEngine::run_many(
-    std::span<const Aig* const> aigs, const FlowParams& params,
-    int num_threads, RunCache* cache, std::span<const RunKey> keys,
-    std::vector<std::uint8_t>* cached) {
-  if (cache == nullptr) {
-    if (cached != nullptr) cached->assign(aigs.size(), 0);
-    return run_many(aigs, params, num_threads);
-  }
-  T1MAP_REQUIRE(keys.size() == aigs.size(),
-                "run_many: cache keys must be index-aligned with the batch");
-  for (const Aig* aig : aigs) {
-    T1MAP_REQUIRE(aig != nullptr, "run_many: null AIG in batch");
-  }
-
-  std::vector<EngineResult> results(aigs.size());
-  if (cached != nullptr) cached->assign(aigs.size(), 0);
-
-  // Partition the batch: cache hits are filled immediately, the first
-  // occurrence of each unseen key is scheduled, and later duplicates of a
-  // scheduled key become aliases served after the representative computes.
-  std::vector<std::size_t> miss;               // representative indices
-  std::vector<std::pair<std::size_t, std::size_t>> alias;  // (index, rep)
-  for (std::size_t i = 0; i < aigs.size(); ++i) {
-    if (cache->lookup(keys[i], results[i])) {
-      if (cached != nullptr) (*cached)[i] = 1;
-      continue;
+  if (num_threads <= 1 || aigs.size() == 1) {
+    // Sequential runs stay on the engine's own scratch so capacity (and the
+    // cone memo, when on) keeps accumulating across run()/run_many() calls.
+    for (std::size_t i = 0; i < aigs.size(); ++i) {
+      results[i] = run_with(pipeline_, *aigs[i], params, scratch_);
     }
-    bool duplicate = false;
-    for (const std::size_t m : miss) {
-      if (keys[m] == keys[i]) {
-        alias.emplace_back(i, m);
-        duplicate = true;
-        break;
-      }
-    }
-    if (!duplicate) miss.push_back(i);
+    return results;
   }
-
-  run_indices(aigs, miss, params, num_threads, results);
-  // Only ok-results are offered: a failed run carries partial state that
-  // must not masquerade as a mapped design on a later hit.
-  for (const std::size_t i : miss) {
-    if (results[i].ok()) cache->store(keys[i], results[i]);
-  }
-
-  // Aliases re-read through the cache so hit counters stay truthful; a
-  // non-ok representative (never stored) is copied directly instead.
-  for (const auto& [i, rep] : alias) {
-    if (cache->lookup(keys[i], results[i])) {
-      if (cached != nullptr) (*cached)[i] = 1;
-    } else {
-      results[i] = results[rep];
-    }
-  }
+  for_each_with_scratch(aigs.size(), num_threads,
+                        [&](std::size_t i, FlowScratch& scratch) {
+                          results[i] =
+                              run_with(pipeline_, *aigs[i], params, scratch);
+                        });
   return results;
 }
 

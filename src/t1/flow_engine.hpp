@@ -19,6 +19,10 @@
 ///   * `FlowEngine::run_many` executes the pipeline over a batch of AIGs on
 ///     a thread pool with per-thread scratch; results are index-aligned and
 ///     bit-for-bit independent of the thread count.
+///   * The engine caches nothing across calls but the cone memo
+///     (`set_incremental`).  Result caching keyed on the source AIG lives in
+///     the serve layer (serve/tiered_cache.hpp), which calls `run_many` on
+///     its misses only.
 ///
 /// Minimal embedding:
 /// \code
@@ -35,7 +39,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "aig/aig.hpp"
@@ -273,66 +276,11 @@ class SatCecPass final : public Pass {
 /// Factory over the pass registry; nullptr for unknown names.
 std::unique_ptr<Pass> make_pass(const std::string& name);
 
-// --- Result-caching hook -----------------------------------------------------
-
-/// Opaque 128-bit key identifying one (source AIG, configuration) mapping
-/// problem.  Producers combine a canonical structural hash of the AIG
-/// (serve::AigHasher) with `params_fingerprint` and the pipeline spec; the
-/// engine never interprets the bits.
-struct RunKey {
-  std::uint64_t hi = 0;
-  std::uint64_t lo = 0;
-  friend bool operator==(const RunKey&, const RunKey&) = default;
-};
-
-/// Point-in-time counter snapshot of a `RunCache` implementation.  Every
-/// concrete cache (in-memory, disk, tiered composition) reports through
-/// this one struct, so callers — the serve `stats` command, the CLI
-/// summary line — never reach for implementation-specific counters.
-struct CacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t insertions = 0;
-  std::uint64_t evictions = 0;  // incl. capacity-rejected admissions
-  std::uint64_t entries = 0;    // resident entries
-  std::uint64_t bytes = 0;      // resident (or on-log) bytes
-
-  CacheStats& operator+=(const CacheStats& other) {
-    hits += other.hits;
-    misses += other.misses;
-    insertions += other.insertions;
-    evictions += other.evictions;
-    entries += other.entries;
-    bytes += other.bytes;
-    return *this;
-  }
-};
-
-/// Cache interface the cached `run_many` overload consults before
-/// dispatching work.  Implementations must be safe for concurrent callers
-/// (serve::FlowCache / serve::TieredCache are the production ones): several
-/// engines dispatching against one shared cache — e.g. one per serve
-/// connection — may call `lookup` and `store` simultaneously.
-class RunCache {
- public:
-  virtual ~RunCache() = default;
-  /// Fills `out` and returns true when `key` is present.
-  virtual bool lookup(const RunKey& key, EngineResult& out) = 0;
-  /// Offers a freshly computed successful result for retention.
-  virtual void store(const RunKey& key, const EngineResult& result) = 0;
-  /// Counter snapshot; the default (an empty snapshot) keeps trivial test
-  /// fakes trivial.
-  virtual CacheStats stats() const { return {}; }
-};
-
 /// Platform-stable 64-bit fingerprint of every `FlowParams` field that
 /// influences the mapped result or its recorded verdicts.  Two parameter
-/// sets with equal fingerprints are interchangeable for caching.
+/// sets with equal fingerprints are interchangeable for caching (the serve
+/// layer's cache key folds it in).
 std::uint64_t params_fingerprint(const FlowParams& params);
-
-/// Platform-stable 64-bit FNV-1a, used to fold strings (e.g. a pipeline
-/// spec) into cache keys.
-std::uint64_t fingerprint_string(std::string_view text);
 
 /// Shared worker-pool core: invokes `fn(index, scratch)` for every index in
 /// [0, count) on `workers` threads (1 = inline on the calling thread), one
@@ -361,8 +309,12 @@ class Pipeline {
   std::string spec() const;
 
   /// The Table-I flow a default `FlowEngine` runs:
-  /// map,t1,stage,dff,timing,sim.  Pass `with_cec` to append SAT CEC.
-  static Pipeline default_flow(bool with_cec = false);
+  /// map,t1,stage,dff,timing,sim.  Pass `with_cec` to append SAT CEC;
+  /// `skip_checks` drops every verification pass (timing, sim and cec),
+  /// leaving map,t1,stage,dff.  The CLI and the server both pick their
+  /// pipeline here.
+  static Pipeline default_flow(bool with_cec = false,
+                               bool skip_checks = false);
   /// Builds from a comma-separated name list (e.g. "map,t1,stage,dff").
   /// Throws ContractError on unknown or empty names.
   static Pipeline parse(const std::string& spec);
@@ -406,24 +358,14 @@ class FlowEngine {
 
   /// Deterministic batched execution: maps every AIG with `num_threads`
   /// workers (clamped to [1, aigs.size()]), one `FlowScratch` per worker.
-  /// Results are index-aligned with `aigs` and identical to sequential
-  /// execution regardless of the thread count.  The first exception thrown
-  /// by a worker (contract violation) is rethrown on the calling thread.
+  /// A single worker (or a single AIG) runs on this engine's own scratch,
+  /// cone memo included.  Results are index-aligned with `aigs` and
+  /// identical to sequential execution regardless of the thread count.  The
+  /// first exception thrown by a worker (contract violation) is rethrown on
+  /// the calling thread.
   std::vector<EngineResult> run_many(std::span<const Aig* const> aigs,
                                      const FlowParams& params,
                                      int num_threads);
-
-  /// Cache-aware batched execution: consults `cache` (keyed by the caller-
-  /// supplied `keys`, index-aligned with `aigs`) before dispatching.  Hits
-  /// are filled without touching the flow; duplicate keys within the batch
-  /// compute once; fresh ok-results are offered back via `store`.  When
-  /// `cached` is non-null it receives one flag per index (1 = served from
-  /// the cache or deduplicated against an earlier batch entry).  Results
-  /// are bit-for-bit identical to the uncached overload.
-  std::vector<EngineResult> run_many(
-      std::span<const Aig* const> aigs, const FlowParams& params,
-      int num_threads, RunCache* cache, std::span<const RunKey> keys,
-      std::vector<std::uint8_t>* cached = nullptr);
 
   FlowScratch& scratch() { return scratch_; }
 
@@ -432,15 +374,6 @@ class FlowEngine {
   /// `aig` with the given scratch (the engine's own, or a worker's).
   static EngineResult run_with(const Pipeline& pipeline, const Aig& aig,
                                const FlowParams& params, FlowScratch& scratch);
-
-  /// The dispatch both `run_many` overloads share: runs the pipeline on
-  /// `aigs[i]` for every `i` in `indices` into `results[i]`, with up to
-  /// `num_threads` workers, one index at a time each.  A single worker runs
-  /// on this engine's scratch.
-  void run_indices(std::span<const Aig* const> aigs,
-                   std::span<const std::size_t> indices,
-                   const FlowParams& params, int num_threads,
-                   std::vector<EngineResult>& results);
 
   Pipeline pipeline_;
   FlowScratch scratch_;

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cstdio>
 #include <string>
 
@@ -146,6 +148,16 @@ TEST(Cli, BadUsageFailsWithDiagnostic) {
   // Unknown generator: exit code 1 (contract error).
   status = run_command(kCli + " --gen no_such_gen 2>/dev/null", out);
   EXPECT_NE(status, 0);
+}
+
+// --blif is gone: --input auto-detects BLIF and reads '-' as stdin.
+TEST(Cli, BlifFlagIsAUsageError) {
+  std::string out;
+  const int status =
+      run_command(kCli + " --blif - < /dev/null 2>/dev/null", out);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 2);
+  EXPECT_TRUE(out.empty()) << out;
 }
 
 TEST(Cli, FuzzSmokeRunPasses) {

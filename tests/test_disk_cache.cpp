@@ -1,9 +1,9 @@
 // The persistent cache tier: the binary result codec (round-trip,
 // corruption rejection), the log-structured DiskCache (reopen warm
 // start, torn-tail crash recovery, checksum self-healing, capacity
-// rejection, one open cache per directory), and the TieredCache
-// composition (promotion, write-through, concurrent two-tier hammering —
-// the TSan CI leg runs this suite).
+// rejection, one open cache per directory), and the TieredCache pair
+// (promotion, write-through, the server's key, concurrent two-tier
+// hammering — the TSan CI leg runs this suite).
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "serve/disk_cache.hpp"
 #include "serve/flow_cache.hpp"
 #include "serve/result_codec.hpp"
+#include "serve/server.hpp"
 #include "serve/tiered_cache.hpp"
 #include "serve_test_util.hpp"
 #include "t1/flow_engine.hpp"
@@ -103,7 +105,7 @@ TEST(DiskCache, ReopenServesBitIdenticalWarmHits) {
   const t1::FlowParams params = fast_params();
 
   const std::vector<std::string> names = {"adder8", "adder12", "mul8"};
-  std::vector<t1::RunKey> keys;
+  std::vector<serve::CacheKey> keys;
   std::vector<t1::EngineResult> cold;
   for (const std::string& name : names) {
     const Aig aig = gen::make_named(name);
@@ -138,7 +140,7 @@ TEST(DiskCache, ReopenServesBitIdenticalWarmHits) {
     EXPECT_EQ(warm.times.map, 0.0) << names[i];  // times are zeroed
   }
   t1::EngineResult out;
-  EXPECT_FALSE(reopened.lookup(t1::RunKey{1, 2}, out));
+  EXPECT_FALSE(reopened.lookup(serve::CacheKey{1, 2}, out));
   fs::remove_all(dir);
 }
 
@@ -147,7 +149,7 @@ TEST(DiskCache, RecoversFromTornTailWrites) {
   t1::FlowEngine engine;
   const t1::FlowParams params = fast_params();
   const Aig good_aig = gen::make_named("adder8");
-  const t1::RunKey good_key = key_of(good_aig, params);
+  const serve::CacheKey good_key = key_of(good_aig, params);
   const t1::EngineResult good = engine.run(good_aig, params);
   ASSERT_TRUE(good.ok());
 
@@ -194,7 +196,7 @@ TEST(DiskCache, RecoversFromTornTailWrites) {
   expect_results_identical(good, warm, "post-recovery hit");
   // The log is appendable again after truncation.
   const Aig other_aig = gen::make_named("adder12");
-  const t1::RunKey other_key = key_of(other_aig, params);
+  const serve::CacheKey other_key = key_of(other_aig, params);
   const t1::EngineResult other = engine.run(other_aig, params);
   ASSERT_TRUE(other.ok());
   recovered.store(other_key, other);
@@ -208,7 +210,7 @@ TEST(DiskCache, CorruptPayloadIsDroppedNotServed) {
   t1::FlowEngine engine;
   const t1::FlowParams params = fast_params();
   const Aig aig = gen::make_named("adder8");
-  const t1::RunKey key = key_of(aig, params);
+  const serve::CacheKey key = key_of(aig, params);
   const t1::EngineResult result = engine.run(aig, params);
   ASSERT_TRUE(result.ok());
 
@@ -234,7 +236,7 @@ TEST(DiskCache, CorruptPayloadIsDroppedNotServed) {
   t1::EngineResult out;
   EXPECT_FALSE(cache.lookup(key, out));  // checksum fails -> miss, healed
   EXPECT_FALSE(cache.lookup(key, out));  // stays gone
-  const t1::CacheStats s = cache.stats();
+  const serve::CacheStats s = cache.stats();
   EXPECT_EQ(s.hits, 0u);
   EXPECT_EQ(s.misses, 2u);
   EXPECT_EQ(s.entries, 0u);
@@ -263,7 +265,7 @@ TEST(DiskCache, FullLogRejectsStoresAndCountsThem) {
   serve::DiskCache cache(config);
   cache.store(key_of(a, params), ra);
   cache.store(key_of(b, params), rb);  // over budget: rejected
-  const t1::CacheStats s = cache.stats();
+  const serve::CacheStats s = cache.stats();
   EXPECT_EQ(s.insertions, 1u);
   EXPECT_EQ(s.evictions, 1u);  // the rejected store
   t1::EngineResult out;
@@ -311,7 +313,7 @@ TEST(TieredCache, PromotesDiskHitsIntoMemory) {
   t1::FlowEngine engine;
   const t1::FlowParams params = fast_params();
   const Aig aig = gen::make_named("adder8");
-  const t1::RunKey key = key_of(aig, params);
+  const serve::CacheKey key = key_of(aig, params);
   const t1::EngineResult cold = engine.run(aig, params);
   ASSERT_TRUE(cold.ok());
 
@@ -323,15 +325,9 @@ TEST(TieredCache, PromotesDiskHitsIntoMemory) {
     seeder.store(key, cold);
   }
 
-  serve::TieredCache tiers;
-  serve::CacheTier& memory =
-      tiers.add_tier(std::make_unique<serve::FlowCache>());
-  serve::DiskCacheConfig config;
-  config.dir = dir.string();
-  tiers.add_tier(std::make_unique<serve::DiskCache>(config));
-  ASSERT_EQ(tiers.num_tiers(), 2u);
-  EXPECT_STREQ(tiers.tier(0).tier_name(), "memory");
-  EXPECT_STREQ(tiers.tier(1).tier_name(), "disk");
+  serve::TieredCache tiers({}, dir.string());
+  ASSERT_NE(tiers.disk(), nullptr);
+  const serve::FlowCache& memory = tiers.memory();
 
   // First lookup: memory misses, disk hits, result promoted to memory.
   t1::EngineResult out;
@@ -340,15 +336,38 @@ TEST(TieredCache, PromotesDiskHitsIntoMemory) {
   EXPECT_EQ(memory.stats().entries, 1u);
 
   // Second lookup is served by the memory tier (disk hit count frozen).
-  const std::uint64_t disk_hits = tiers.tier(1).stats().hits;
+  const std::uint64_t disk_hits = tiers.disk()->stats().hits;
   ASSERT_TRUE(tiers.lookup(key, out));
-  EXPECT_EQ(tiers.tier(1).stats().hits, disk_hits);
+  EXPECT_EQ(tiers.disk()->stats().hits, disk_hits);
   EXPECT_EQ(memory.stats().hits, 1u);
   EXPECT_EQ(tiers.stats().hits, 2u);  // composition: both were tiered hits
 
   // A miss everywhere is one tiered miss.
-  EXPECT_FALSE(tiers.lookup(t1::RunKey{9, 9}, out));
+  EXPECT_FALSE(tiers.lookup(serve::CacheKey{9, 9}, out));
   EXPECT_EQ(tiers.stats().misses, 1u);
+  fs::remove_all(dir);
+}
+
+TEST(TieredCache, ServerAndKeyOfAgreeOnTheKey) {
+  // A server job's result must sit under the key the test helper derives
+  // through `serve::cache_key`: both fold in the pipeline the job ran.
+  const fs::path dir = fresh_dir("tier_server_key");
+  {
+    serve::ServeConfig config;
+    config.defaults.verify_rounds = 0;
+    config.defaults.cec = false;
+    config.cache_dir = dir.string();
+    serve::Server server(config);
+    std::istringstream in("{\"gen\":\"adder8\"}\n");
+    std::ostringstream out;
+    server.serve(in, out);
+  }
+  serve::DiskCacheConfig config;
+  config.dir = dir.string();
+  serve::DiskCache disk(config);
+  t1::EngineResult out;
+  EXPECT_TRUE(disk.lookup(key_of(gen::make_named("adder8"), fast_params()),
+                          out));
   fs::remove_all(dir);
 }
 
@@ -357,26 +376,22 @@ TEST(TieredCache, WritesThroughToEveryTier) {
   t1::FlowEngine engine;
   const t1::FlowParams params = fast_params();
   const Aig aig = gen::make_named("adder8");
-  const t1::RunKey key = key_of(aig, params);
+  const serve::CacheKey key = key_of(aig, params);
   const t1::EngineResult cold = engine.run(aig, params);
   ASSERT_TRUE(cold.ok());
 
-  serve::TieredCache tiers;
-  tiers.add_tier(std::make_unique<serve::FlowCache>());
-  serve::DiskCacheConfig config;
-  config.dir = dir.string();
-  tiers.add_tier(std::make_unique<serve::DiskCache>(config));
+  serve::TieredCache tiers({}, dir.string());
 
   tiers.store(key, cold);
-  EXPECT_EQ(tiers.tier(0).stats().entries, 1u);
-  EXPECT_EQ(tiers.tier(1).stats().entries, 1u);
+  EXPECT_EQ(tiers.memory().stats().entries, 1u);
+  EXPECT_EQ(tiers.disk()->stats().entries, 1u);
 
   // Failed results are stored nowhere and not counted.
   t1::EngineResult failed;
   failed.status = t1::FlowStatus::kNotEquivalent;
-  tiers.store(t1::RunKey{5, 5}, failed);
+  tiers.store(serve::CacheKey{5, 5}, failed);
   EXPECT_EQ(tiers.stats().insertions, 1u);
-  EXPECT_EQ(tiers.tier(1).stats().entries, 1u);
+  EXPECT_EQ(tiers.disk()->stats().entries, 1u);
   fs::remove_all(dir);
 }
 
@@ -388,7 +403,7 @@ TEST(TieredCache, ConcurrentTwoTierHammering) {
   const t1::FlowParams params = fast_params();
   const std::vector<std::string> names = {"adder8", "adder10", "adder12",
                                           "adder14"};
-  std::vector<t1::RunKey> keys;
+  std::vector<serve::CacheKey> keys;
   std::vector<t1::EngineResult> results;
   for (const std::string& name : names) {
     const Aig aig = gen::make_named(name);
@@ -399,9 +414,8 @@ TEST(TieredCache, ConcurrentTwoTierHammering) {
 
   serve::DiskCacheConfig config;
   config.dir = dir.string();
-  auto tiers = std::make_unique<serve::TieredCache>();
-  tiers->add_tier(std::make_unique<serve::FlowCache>());
-  tiers->add_tier(std::make_unique<serve::DiskCache>(config));
+  auto tiers = std::make_unique<serve::TieredCache>(serve::CacheConfig{},
+                                                     dir.string());
 
   constexpr int kThreads = 8;
   constexpr int kIters = 100;
@@ -425,15 +439,15 @@ TEST(TieredCache, ConcurrentTwoTierHammering) {
   for (std::thread& t : threads) t.join();
   for (const int m : mismatches) EXPECT_EQ(m, 0);
 
-  const t1::CacheStats c = tiers->stats();
+  const serve::CacheStats c = tiers->stats();
   EXPECT_EQ(c.hits + c.misses,
             static_cast<std::uint64_t>(kThreads) * kIters);
   EXPECT_GT(c.hits, 0u);
-  EXPECT_LE(tiers->tier(1).stats().entries, names.size());
+  EXPECT_LE(tiers->disk()->stats().entries, names.size());
 
   // Everything the hammer stored is recoverable by a fresh disk tier, once
   // the hammered one has released the directory.
-  const std::uint64_t stored = tiers->tier(1).stats().entries;
+  const std::uint64_t stored = tiers->disk()->stats().entries;
   tiers.reset();
   serve::DiskCache reopened(config);
   EXPECT_EQ(reopened.recovered_entries(), stored);

@@ -159,6 +159,11 @@ TEST(FlowEngine, PipelineSpecRoundTrips) {
   EXPECT_EQ(Pipeline::default_flow().spec(), "map,t1,stage,dff,timing,sim");
   EXPECT_EQ(Pipeline::default_flow(/*with_cec=*/true).spec(),
             "map,t1,stage,dff,timing,sim,cec");
+  // --skip-checks drops every verification pass, CEC included.
+  for (const bool with_cec : {false, true}) {
+    EXPECT_EQ(Pipeline::default_flow(with_cec, /*skip_checks=*/true).spec(),
+              "map,t1,stage,dff");
+  }
   EXPECT_THROW(Pipeline::parse("map,nonsense"), ContractError);
   EXPECT_THROW(Pipeline::parse(""), ContractError);
   // Ill-ordered specs are rejected at parse time, with prerequisites

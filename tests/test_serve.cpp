@@ -1,9 +1,9 @@
 // The serving layer: canonical AIG hashing (stability, sensitivity,
 // collision sanity), the sharded LRU FlowCache (bit-identical hits, byte-
 // budget eviction, concurrent hammering — the TSan CI leg runs this
-// suite), the cache-aware FlowEngine::run_many hook, and the JSONL server
-// protocol (ordering, hit counters, error handling, thread-count
-// determinism).
+// suite), the server's cached dispatch (in-batch dedupe, hit counters,
+// the pipeline in the key), and the JSONL server protocol (ordering, hit
+// counters, error handling, thread-count determinism).
 
 #include <gtest/gtest.h>
 
@@ -20,6 +20,7 @@
 #include "io/json.hpp"
 #include "serve/aig_hash.hpp"
 #include "serve/flow_cache.hpp"
+#include "serve/json_out.hpp"
 #include "serve/server.hpp"
 #include "serve_test_util.hpp"
 #include "t1/flow_engine.hpp"
@@ -198,7 +199,7 @@ TEST(FlowCache, HitIsBitIdenticalToColdRun) {
     params.num_phases = g.phases;
     params.use_t1 = g.use_t1;
     params.verify_rounds = 0;
-    const t1::RunKey key = key_of(aig, params);
+    const serve::CacheKey key = key_of(aig, params);
     const std::string label = g.gen + "/" + std::to_string(g.phases) +
                               (g.use_t1 ? "/t1" : "/base");
 
@@ -215,7 +216,7 @@ TEST(FlowCache, HitIsBitIdenticalToColdRun) {
     EXPECT_EQ(warm.times.map, 0.0) << label;
     EXPECT_EQ(warm.times.cec, 0.0) << label;
   }
-  const t1::CacheStats c = cache.stats();
+  const serve::CacheStats c = cache.stats();
   EXPECT_EQ(c.insertions, golden_rows().size());
   EXPECT_EQ(c.hits, golden_rows().size());
   EXPECT_EQ(c.misses, golden_rows().size());
@@ -229,7 +230,7 @@ TEST(FlowCache, EvictsLruUnderByteBudget) {
 
   const std::vector<std::string> names = {"adder8", "adder12", "adder16"};
   std::vector<Aig> aigs;
-  std::vector<t1::RunKey> keys;
+  std::vector<serve::CacheKey> keys;
   std::vector<t1::EngineResult> results;
   std::size_t total_bytes = 0;
   for (const std::string& name : names) {
@@ -256,7 +257,7 @@ TEST(FlowCache, EvictsLruUnderByteBudget) {
   ASSERT_TRUE(cache.lookup(keys[0], out));
   cache.store(keys[2], results[2]);
 
-  const t1::CacheStats c = cache.stats();
+  const serve::CacheStats c = cache.stats();
   EXPECT_EQ(c.evictions, 1u);
   EXPECT_EQ(c.entries, 2u);
   EXPECT_LE(c.bytes, config.max_bytes);
@@ -274,7 +275,7 @@ TEST(FlowCache, NeverStoresFailedRuns) {
   serve::FlowCache cache;
   t1::EngineResult failed;
   failed.status = t1::FlowStatus::kNotEquivalent;
-  const t1::RunKey key{1, 2};
+  const serve::CacheKey key{1, 2};
   cache.store(key, failed);
   t1::EngineResult out;
   EXPECT_FALSE(cache.lookup(key, out));
@@ -289,7 +290,7 @@ TEST(FlowCache, ConcurrentHitMissHammering) {
   params.verify_rounds = 0;
   const std::vector<std::string> names = {"adder8", "adder10", "adder12",
                                           "adder14"};
-  std::vector<t1::RunKey> keys;
+  std::vector<serve::CacheKey> keys;
   std::vector<t1::EngineResult> results;
   for (const std::string& name : names) {
     const Aig aig = gen::make_named(name);
@@ -322,56 +323,11 @@ TEST(FlowCache, ConcurrentHitMissHammering) {
   for (std::thread& t : threads) t.join();
   for (const int m : mismatches) EXPECT_EQ(m, 0);
 
-  const t1::CacheStats c = cache.stats();
+  const serve::CacheStats c = cache.stats();
   EXPECT_EQ(c.hits + c.misses,
             static_cast<std::uint64_t>(kThreads) * kIters);
   EXPECT_GT(c.hits, 0u);
   EXPECT_LE(c.entries, names.size());
-}
-
-// --- Cache-aware run_many ----------------------------------------------------
-
-TEST(RunManyCached, HitsDuplicatesAndDeterminism) {
-  t1::FlowParams params;
-  params.verify_rounds = 0;
-  const Aig a = gen::make_named("adder16");
-  const Aig b = gen::make_named("mul8");
-  // adder16 twice in one batch: the duplicate computes once.
-  const std::vector<const Aig*> batch = {&a, &b, &a};
-  const std::vector<t1::RunKey> keys = {key_of(a, params), key_of(b, params),
-                                        key_of(a, params)};
-
-  t1::FlowEngine cold_engine;
-  const std::vector<t1::EngineResult> reference =
-      cold_engine.run_many(batch, params, 1);
-
-  serve::FlowCache cache;
-  t1::FlowEngine engine;
-  std::vector<std::uint8_t> cached;
-  const std::vector<t1::EngineResult> first =
-      engine.run_many(batch, params, 2, &cache, keys, &cached);
-  ASSERT_EQ(first.size(), 3u);
-  EXPECT_EQ(cached, (std::vector<std::uint8_t>{0, 0, 1}));
-  EXPECT_EQ(cache.stats().insertions, 2u);  // duplicate stored once
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    expect_results_identical(reference[i], first[i],
-                             "first pass " + std::to_string(i));
-  }
-
-  const std::vector<t1::EngineResult> second =
-      engine.run_many(batch, params, 2, &cache, keys, &cached);
-  EXPECT_EQ(cached, (std::vector<std::uint8_t>{1, 1, 1}));
-  for (std::size_t i = 0; i < second.size(); ++i) {
-    expect_results_identical(reference[i], second[i],
-                             "second pass " + std::to_string(i));
-  }
-  // A different configuration must miss: no stale cross-config hits.
-  t1::FlowParams other = params;
-  other.use_t1 = false;
-  const std::vector<t1::RunKey> other_keys = {
-      key_of(a, other), key_of(b, other), key_of(a, other)};
-  engine.run_many(batch, other, 1, &cache, other_keys, &cached);
-  EXPECT_EQ(cached, (std::vector<std::uint8_t>{0, 0, 1}));
 }
 
 // --- Server protocol ---------------------------------------------------------
@@ -412,6 +368,98 @@ serve::ServeConfig fast_config() {
   config.defaults.verify_rounds = 0;
   config.defaults.cec = false;  // SAT time is not what these tests test
   return config;
+}
+
+// --- Cached dispatch ---------------------------------------------------------
+
+TEST(RunManyCached, HitsDuplicatesAndDeterminism) {
+  // Three-request batches [adder16, mul8, adder16] on two workers: the
+  // in-batch duplicate computes once, a repeated batch is all hits, another
+  // configuration misses, and every response carries a cold run's stats.
+  const Aig a = gen::make_named("adder16");
+  const Aig b = gen::make_named("mul8");
+  const std::vector<const Aig*> batch = {&a, &b, &a};
+  t1::FlowParams t1_params;
+  t1_params.verify_rounds = 0;
+  t1::FlowParams nphi_params = t1_params;
+  nphi_params.use_t1 = false;
+  const std::vector<t1::EngineResult> t1_ref =
+      t1::FlowEngine().run_many(batch, t1_params, 1);
+  const std::vector<t1::EngineResult> nphi_ref =
+      t1::FlowEngine().run_many(batch, nphi_params, 1);
+
+  std::string script;
+  for (const char* config : {"t1", "t1", "nphi"}) {
+    for (const char* gen : {"adder16", "mul8", "adder16"}) {
+      script += std::string("{\"gen\":\"") + gen + "\",\"config\":\"" +
+                config + "\"}\n";
+    }
+  }
+  script += "{\"cmd\":\"stats\"}\n";
+
+  std::vector<std::string> stripped[2];
+  for (const int threads : {2, 1}) {
+    serve::ServeConfig config = fast_config();
+    config.batch_size = 3;
+    config.threads = threads;
+    const std::vector<std::string> lines = serve_script(script, config);
+    ASSERT_EQ(lines.size(), 10u);
+    const std::vector<bool> expect_cached = {false, false, true, true, true,
+                                             true,  false, false, true};
+    for (std::size_t i = 0; i < expect_cached.size(); ++i) {
+      const io::Json r = io::Json::parse(lines[i]);
+      ASSERT_TRUE(r.at("ok").as_bool()) << lines[i];
+      EXPECT_EQ(r.at("cached").as_bool(), expect_cached[i]) << lines[i];
+      const t1::EngineResult& ref = (i < 6 ? t1_ref : nphi_ref)[i % 3];
+      EXPECT_EQ(r.at("stats").dump(-1),
+                serve::flow_stats_json(ref.stats).dump(-1))
+          << lines[i];
+    }
+    // A duplicate's first lookup misses; its re-read after the compute
+    // hits.  Only the two computed results per configuration are stored.
+    const io::Json stats = io::Json::parse(lines[9]);
+    const io::Json& cache = stats.at("serve").at("cache");
+    EXPECT_EQ(cache.at("hits").as_number(), 5);
+    EXPECT_EQ(cache.at("misses").as_number(), 6);
+    EXPECT_EQ(cache.at("insertions").as_number(), 4);
+    for (const std::string& line : lines) {
+      stripped[threads - 1].push_back(strip_ms(line));
+    }
+  }
+  EXPECT_EQ(stripped[0], stripped[1]);
+}
+
+TEST(Server, CecFieldIsPartOfTheCacheKey) {
+  // The "cec" field picks the pipeline, and the pipeline is part of the
+  // key: a CEC-less result must never answer a request that asked for CEC.
+  const std::string script =
+      "{\"id\":1,\"gen\":\"adder16\",\"cec\":true}\n"
+      "{\"id\":2,\"gen\":\"adder16\",\"cec\":false}\n"
+      "{\"id\":3,\"gen\":\"adder16\",\"cec\":true}\n";
+  for (const int batch_size : {1, 16}) {
+    serve::ServeConfig config = fast_config();
+    config.batch_size = batch_size;
+    std::vector<std::string> lines = serve_script(script, config);
+    ASSERT_EQ(lines.size(), 3u);
+    const char* const cec[] = {"equivalent", "skipped", "equivalent"};
+    const bool cached[] = {false, false, true};
+    for (std::size_t i = 0; i < 3; ++i) {
+      const io::Json r = io::Json::parse(lines[i]);
+      EXPECT_EQ(r.at("cec").as_string(), cec[i]) << lines[i];
+      EXPECT_EQ(r.at("cached").as_bool(), cached[i]) << lines[i];
+    }
+
+    // --skip-checks drops CEC from every job, so all three run the same
+    // pipeline and share one entry.
+    config.defaults.skip_checks = true;
+    lines = serve_script(script, config);
+    ASSERT_EQ(lines.size(), 3u);
+    for (std::size_t i = 0; i < 3; ++i) {
+      const io::Json r = io::Json::parse(lines[i]);
+      EXPECT_EQ(r.at("cec").as_string(), "skipped") << lines[i];
+      EXPECT_EQ(r.at("cached").as_bool(), i > 0) << lines[i];
+    }
+  }
 }
 
 TEST(Server, ProtocolOrderingHitsAndErrors) {
