@@ -276,8 +276,10 @@ void enumerate_node_cuts(const Ntk& ntk, const CutParams& params,
 /// buffers.  `enumerate_cuts_into` resets the contents but keeps the heap
 /// allocations, so a workspace reused across many enumerations (the
 /// FlowEngine runs one per mapping and one per T1 detection, thousands of
-/// times in batched serving) stops paying the arena growth after the first
-/// run.
+/// times in batched serving) regrows its arena only for a network larger
+/// than any it has held.  A mapper run with a cone memo swaps the arena
+/// with the memo's (`sfq::map_to_sfq`), so there two arenas take turns and
+/// both have grown after the second run.
 struct CutWorkspace {
   CutSet cuts;
   detail::CutScratch scratch;

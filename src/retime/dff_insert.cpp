@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <limits>
+#include <span>
 
 namespace t1map::retime {
 
@@ -28,7 +29,7 @@ MaterializeResult insert_dffs(const Netlist& ntk, const StageAssignment& sa) {
   Netlist& out = result.netlist;
   std::vector<int>& out_sigma = result.stages.sigma;
   const auto put = [&](std::uint32_t new_id, int stage) {
-    out_sigma.resize(new_id + 1, 0);
+    if (new_id >= out_sigma.size()) out_sigma.resize(new_id + 1, 0);
     out_sigma[new_id] = stage;
     return new_id;
   };
@@ -115,11 +116,13 @@ MaterializeResult insert_dffs(const Netlist& ntk, const StageAssignment& sa) {
         break;
       default: {
         // Logic cells and DFFs: rewire each fanin through the shared chain.
-        std::vector<std::uint32_t> ins;
-        for (const std::uint32_t u : ntk.fanins(v)) {
-          ins.push_back(edge_signal(u, sa.sigma[v]));
+        const auto f = ntk.fanins(v);
+        std::array<std::uint32_t, 3> ins{};
+        for (std::size_t j = 0; j < f.size(); ++j) {
+          ins[j] = edge_signal(f[j], sa.sigma[v]);
         }
-        new_id = out.add_cell(k, ins);
+        new_id = out.add_cell(
+            k, std::span<const std::uint32_t>(ins.data(), f.size()));
         break;
       }
     }

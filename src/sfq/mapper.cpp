@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <limits>
-#include <map>
 #include <span>
-#include <unordered_map>
+#include <utility>
 
 #include "aig/aig_digest.hpp"
 #include "common/hash_mix.hpp"
@@ -15,7 +13,10 @@ namespace t1map::sfq {
 
 namespace {
 
-/// Match tables: for each arity, tt bits -> realizable configs.
+/// Match tables: for each arity, tt bits -> realizable configs, plus the
+/// `CutMatch` of every table of arity 0..3.  The cut matches are precomputed
+/// because a per-cut heap allocation and bit-by-bit support projection were
+/// ~75% of the covering DP.
 class MatchTables {
  public:
   MatchTables() {
@@ -27,6 +28,15 @@ class MatchTables {
     build(1, kinds1, table1_);
     build(2, kinds2, table2_);
     build(3, kinds3, table3_);
+    for (int arity = 0; arity <= 3; ++arity) {
+      for (std::uint64_t bits = 0; bits < (1ull << (1u << arity)); ++bits) {
+        const Tt tt(arity, bits);
+        CutMatch& m = cut_matches_[kCutOffset[arity] + bits];
+        m.support = static_cast<std::uint8_t>(tt.support_mask());
+        m.reduced = project(tt, m.support);
+        m.configs = lookup(m.reduced);
+      }
+    }
   }
 
   const std::vector<CellConfig>& lookup(const Tt& tt) const {
@@ -39,7 +49,31 @@ class MatchTables {
     }
   }
 
+  const CutMatch& cut_match(const Tt& tt) const {
+    T1MAP_ASSERT(tt.num_vars() <= 3);
+    return cut_matches_[kCutOffset[tt.num_vars()] + tt.bits()];
+  }
+
  private:
+  /// First entry of each arity in `cut_matches_` (2, 4 and 16 tables
+  /// precede arity 3's 256).
+  static constexpr std::array<std::size_t, 4> kCutOffset = {0, 2, 6, 22};
+
+  /// `tt` over its `support` variables only (the others fixed to 0).
+  static Tt project(const Tt& tt, std::uint32_t support) {
+    Tt reduced(__builtin_popcount(support));
+    for (std::uint64_t i = 0; i < reduced.num_bits(); ++i) {
+      std::uint64_t src = 0;
+      int next = 0;
+      for (int v = 0; v < tt.num_vars(); ++v) {
+        if ((support & (1u << v)) == 0) continue;
+        if ((i >> next++) & 1u) src |= 1ull << v;
+      }
+      if (tt.bit(src)) reduced.set_bit(i, true);
+    }
+    return reduced;
+  }
+
   template <std::size_t N, std::size_t K>
   void build(int arity, const CellKind (&kinds)[K],
              std::array<std::vector<CellConfig>, N>& table) {
@@ -86,6 +120,7 @@ class MatchTables {
   std::array<std::vector<CellConfig>, 4> table1_;
   std::array<std::vector<CellConfig>, 16> table2_;
   std::array<std::vector<CellConfig>, 256> table3_;
+  std::array<CutMatch, 2 + 4 + 16 + 256> cut_matches_;
 };
 
 const MatchTables& match_tables() {
@@ -93,41 +128,14 @@ const MatchTables& match_tables() {
   return tables;
 }
 
-/// Removes non-support variables, returning the compressed table and the
-/// surviving leaf ids (subset of `leaves` in order).
-Tt compress_support(const Tt& tt, std::span<const std::uint32_t> leaves,
-                    std::vector<std::uint32_t>& active_leaves) {
-  active_leaves.clear();
-  const std::uint32_t support = tt.support_mask();
-  std::vector<int> where;
-  int next = 0;
-  for (int v = 0; v < tt.num_vars(); ++v) {
-    if (support & (1u << v)) {
-      active_leaves.push_back(leaves[v]);
-      where.push_back(next++);
-    } else {
-      where.push_back(0);  // placeholder; variable unused
-    }
-  }
-  const int new_arity = next;
-  // Project: evaluate tt with non-support vars fixed to 0.
-  Tt reduced(new_arity);
-  for (std::uint64_t i = 0; i < reduced.num_bits(); ++i) {
-    std::uint64_t src = 0;
-    for (int v = 0; v < tt.num_vars(); ++v) {
-      if ((support & (1u << v)) && ((i >> where[v]) & 1u)) {
-        src |= (1ull << v);
-      }
-    }
-    if (tt.bit(src)) reduced.set_bit(i, true);
-  }
-  return reduced;
-}
-
 }  // namespace
 
 const std::vector<CellConfig>& match_function(const Tt& tt) {
   return match_tables().lookup(tt);
+}
+
+const CutMatch& match_cut(const Tt& tt) {
+  return match_tables().cut_match(tt);
 }
 
 std::uint64_t mapper_params_key(const MapperParams& params) {
@@ -190,21 +198,23 @@ Netlist map_to_sfq(const Aig& aig, const MapperParams& params,
 
   // The full DP step for one AND node.  Reads arrival/flow/planned_neg only
   // at the cut leaves (lower node ids) and writes only this node's slots.
-  std::vector<std::uint32_t> active;  // support-reduced leaves of one cut
   const auto compute_node = [&](std::uint32_t n) {
     MapChoice chosen;
     for (const Cut& cut : cuts[n]) {
       if (cut.is_trivial(n)) continue;
-      const Tt reduced = compress_support(cut.tt, cut.leaves, active);
-      if (reduced.num_vars() == 0) {
+      const CutMatch& match = match_cut(cut.tt);
+      if (match.reduced.num_vars() == 0) {
         // Constant function of the leaves (reconvergence artifact): realize
         // below via the fanin-pair fallback instead.
         continue;
       }
-      for (const CellConfig& config : match_function(reduced)) {
+      std::array<std::uint32_t, kMaxCutLeaves> active;
+      const std::size_t num_active =
+          match.active_leaves(cut.leaves, active.data());
+      for (const CellConfig& config : match.configs) {
         int arr = 0;
         double fl = static_cast<double>(config.area);
-        for (std::size_t i = 0; i < active.size(); ++i) {
+        for (std::size_t i = 0; i < num_active; ++i) {
           const bool want_neg = ((config.input_neg >> i) & 1u) != 0;
           arr = std::max(arr, leaf_arrival(active[i], want_neg));
           fl += flow[active[i]];
@@ -215,9 +225,9 @@ Netlist map_to_sfq(const Aig& aig, const MapperParams& params,
             !chosen.valid || arr < chosen.arrival ||
             (arr == chosen.arrival && fl < chosen.flow - 1e-12);
         if (better) {
-          chosen.num_leaves = static_cast<std::uint8_t>(active.size());
-          std::copy(active.begin(), active.end(), chosen.leaves.begin());
-          chosen.tt = reduced;
+          chosen.num_leaves = static_cast<std::uint8_t>(num_active);
+          std::copy_n(active.begin(), num_active, chosen.leaves.begin());
+          chosen.tt = match.reduced;
           chosen.config = config;
           chosen.arrival = arr;
           chosen.flow = fl;
@@ -320,19 +330,21 @@ Netlist map_to_sfq(const Aig& aig, const MapperParams& params,
   constexpr std::uint32_t kNone = 0xFFFFFFFFu;
   std::vector<std::uint32_t> raw_signal(aig.num_nodes(), kNone);
   std::vector<bool> raw_negated(aig.num_nodes(), false);
-  std::unordered_map<std::uint32_t, std::uint32_t> inverted;
+  // Inverter cache by signal id.  Every signal is a PI, a mapped AIG node,
+  // the one inverter of either, or a constant (at most one per PO), so ids
+  // stay below 2 * num_nodes + num_pos.
+  std::vector<std::uint32_t> inverted(
+      2 * std::size_t{aig.num_nodes()} + aig.num_pos(), kNone);
   std::uint32_t const0 = kNone;
 
   MapStats local_stats;
   const auto get_inverted = [&](std::uint32_t sig) {
-    if (const auto it = inverted.find(sig); it != inverted.end()) {
-      return it->second;
-    }
+    if (inverted[sig] != kNone) return inverted[sig];
     const std::uint32_t inv = ntk.add_cell(CellKind::kNot, {sig});
     ++local_stats.cells;
     ++local_stats.inverters;
-    inverted.emplace(sig, inv);
-    inverted.emplace(inv, sig);  // NOT(NOT(x)) = x: reuse both ways
+    inverted[sig] = inv;
+    inverted[inv] = sig;  // NOT(NOT(x)) = x: reuse both ways
     return inv;
   };
   /// The node's value in the requested polarity.
@@ -352,13 +364,14 @@ Netlist map_to_sfq(const Aig& aig, const MapperParams& params,
     const MapChoice& choice = best[n];
     T1MAP_ASSERT(choice.valid);
 
-    std::vector<std::uint32_t> ins;
-    ins.reserve(choice.num_leaves);
+    std::array<std::uint32_t, kMaxCutLeaves> ins;
     for (std::size_t i = 0; i < choice.num_leaves; ++i) {
       const bool want_neg = ((choice.config.input_neg >> i) & 1u) != 0;
-      ins.push_back(get_signal(choice.leaves[i], want_neg));
+      ins[i] = get_signal(choice.leaves[i], want_neg);
     }
-    raw_signal[n] = ntk.add_cell(choice.config.kind, ins);
+    raw_signal[n] = ntk.add_cell(
+        choice.config.kind,
+        std::span<const std::uint32_t>(ins.data(), choice.num_leaves));
     raw_negated[n] = choice.config.output_neg;
     ++local_stats.cells;
   }
@@ -382,13 +395,14 @@ Netlist map_to_sfq(const Aig& aig, const MapperParams& params,
 
   // --- Memo refill: this run becomes the baseline for the next one. --------
   //
-  // Everything is moved, not copied — the workspace cut arena and the DP
-  // choice vector are exactly the artifacts a future splice needs, and the
-  // caller's workspace is reset at the top of every call anyway.
+  // Nothing is copied — the workspace cut arena and the DP choice vector are
+  // exactly the artifacts a future splice needs.  The arenas are swapped, not
+  // moved, so the workspace keeps the old memo's allocation for the next run
+  // (which resets it at the top of the call anyway).
   if (memo != nullptr) {
     memo->digests = std::move(digests);
     memo->fanouts = std::move(fanout);
-    memo->cuts = std::move(ws.cuts);
+    std::swap(memo->cuts, ws.cuts);
     memo->choices = std::move(best);
     memo->params_key = memo_key;
     memo->valid = true;

@@ -50,6 +50,29 @@ struct CellConfig {
 /// (possible only for some 3-variable functions).
 const std::vector<CellConfig>& match_function(const Tt& tt);
 
+/// A cut function reduced to its support, with the configs realizing it.
+/// `reduced` keeps the surviving variables in their original order, so
+/// reduced variable i is the i-th set bit of `support`.
+struct CutMatch {
+  std::uint8_t support = 0;  // bit v: the function depends on variable v
+  Tt reduced;                // constant (arity 0) when `support` is empty
+  std::span<const CellConfig> configs;  // == match_function(reduced)
+
+  /// Writes the leaves of the support variables, in variable order, to
+  /// `out` and returns how many there are.
+  std::size_t active_leaves(std::span<const std::uint32_t> leaves,
+                            std::uint32_t* out) const {
+    std::size_t n = 0;
+    for (std::uint32_t m = support; m != 0; m &= m - 1) {
+      out[n++] = leaves[static_cast<std::size_t>(__builtin_ctz(m))];
+    }
+    return n;
+  }
+};
+
+/// The precomputed `CutMatch` of `tt` (arity 0..3).
+const CutMatch& match_cut(const Tt& tt);
+
 /// The covering DP's decision for one AND node: the chosen cut (active
 /// leaves in truth-table variable order), its function, the cell config
 /// realizing it, and the DP values downstream consumers read.  Flat and
@@ -72,7 +95,7 @@ struct MapChoice {
 /// the full cut sets and DP choices, plus the digests/fanouts needed to
 /// build a cone correspondence against the next AIG.  Owned by
 /// `t1::FlowEngine` (see `set_incremental`); contents are moved in after
-/// each run (no deep copies).
+/// each run (no deep copies), the cut arena by a swap with the workspace's.
 struct MapMemo {
   bool valid = false;
   std::uint64_t params_key = 0;  // fingerprint of the cut parameters

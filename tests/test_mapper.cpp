@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "aig/aig_sim.hpp"
 #include "common/rng.hpp"
 #include "sat/cec.hpp"
@@ -46,6 +49,86 @@ TEST(MatchFunction, SomeThreeVarFunctionsAreNotSingleCell) {
   EXPECT_FALSE(match_function(tts::or3().apply_polarity(0b101)).empty());
 }
 
+/// Reference support projection for `match_cut`: drop the variables `tt`
+/// does not depend on, bit by bit, keeping the surviving leaves in order.
+Tt reference_projection(const Tt& tt, std::span<const std::uint32_t> leaves,
+                        std::vector<std::uint32_t>& active_leaves) {
+  active_leaves.clear();
+  const std::uint32_t support = tt.support_mask();
+  std::vector<int> where;
+  int next = 0;
+  for (int v = 0; v < tt.num_vars(); ++v) {
+    if (support & (1u << v)) {
+      active_leaves.push_back(leaves[v]);
+      where.push_back(next++);
+    } else {
+      where.push_back(0);  // placeholder; variable unused
+    }
+  }
+  Tt reduced(next);
+  for (std::uint64_t i = 0; i < reduced.num_bits(); ++i) {
+    std::uint64_t src = 0;
+    for (int v = 0; v < tt.num_vars(); ++v) {
+      if ((support & (1u << v)) && ((i >> where[v]) & 1u)) {
+        src |= (1ull << v);
+      }
+    }
+    if (tt.bit(src)) reduced.set_bit(i, true);
+  }
+  return reduced;
+}
+
+TEST(MatchCut, EveryTableAgreesWithTheBitLoopProjection) {
+  const std::uint32_t leaves[3] = {17, 4, 29};  // unsorted: order must stick
+  int tables = 0;
+  for (int arity = 0; arity <= 3; ++arity) {
+    const std::span<const std::uint32_t> cut_leaves(leaves, arity);
+    for (std::uint64_t bits = 0; bits < (1ull << (1u << arity)); ++bits) {
+      const Tt tt(arity, bits);
+      std::vector<std::uint32_t> want_active;
+      const Tt want = reference_projection(tt, cut_leaves, want_active);
+      const CutMatch& match = match_cut(tt);
+      EXPECT_EQ(match.support, tt.support_mask()) << tt.to_string();
+      EXPECT_EQ(match.reduced, want) << tt.to_string();
+      std::uint32_t active[3] = {};
+      const std::size_t n = match.active_leaves(cut_leaves, active);
+      EXPECT_EQ(std::vector<std::uint32_t>(active, active + n), want_active)
+          << tt.to_string();
+      const std::vector<CellConfig>& configs = match_function(want);
+      EXPECT_EQ(match.configs.data(), configs.data()) << tt.to_string();
+      EXPECT_EQ(match.configs.size(), configs.size()) << tt.to_string();
+      ++tables;
+    }
+  }
+  EXPECT_EQ(tables, 2 + 4 + 16 + 256);
+}
+
+TEST(MatchFunction, ConfigListsAreUnchanged) {
+  // Pins every (table, config) pair over arities 0..3: `match_cut` hands
+  // these lists to the covering DP, so a change here changes the mapping.
+  std::uint64_t h = 1469598103934665603ull;  // FNV-1a over the fields
+  const auto mix = [&](std::uint64_t x) { h = (h ^ x) * 1099511628211ull; };
+  int count = 0;
+  int area = 0;
+  for (int arity = 0; arity <= 3; ++arity) {
+    for (std::uint64_t bits = 0; bits < (1ull << (1u << arity)); ++bits) {
+      for (const CellConfig& c : match_function(Tt(arity, bits))) {
+        mix(static_cast<std::uint64_t>(arity));
+        mix(bits);
+        mix(static_cast<std::uint64_t>(c.kind));
+        mix(c.input_neg);
+        mix(c.output_neg ? 1 : 0);
+        mix(static_cast<std::uint64_t>(c.area));
+        ++count;
+        area += c.area;
+      }
+    }
+  }
+  EXPECT_EQ(count, 90);
+  EXPECT_EQ(area, 3303);
+  EXPECT_EQ(h, 0x65b2e12f6329a7fcull);
+}
+
 TEST(Mapper, FullAdderMapsToXor3Maj3) {
   Aig aig;
   const Lit a = aig.create_pi();
@@ -77,6 +160,23 @@ TEST(Mapper, ComplementedAndConstantPos) {
   const Netlist ntk = map_to_sfq(aig);
   ntk.check_well_formed();
   EXPECT_TRUE(random_equivalent(aig, ntk));
+}
+
+TEST(Mapper, InvertersAfterManyConstantPos) {
+  // Each complemented constant PO adds a constant node, so inverters
+  // created for later POs get ids past twice the AIG's node count.
+  Aig aig;
+  const Lit a = aig.create_pi();
+  for (int i = 0; i < 8; ++i) aig.create_po(Aig::kConst1);
+  aig.create_po(lit_not(a), "na");
+  aig.create_po(a, "a");
+  aig.create_po(lit_not(a), "na2");
+
+  MapStats stats;
+  const Netlist ntk = map_to_sfq(aig, {}, &stats);
+  ntk.check_well_formed();
+  EXPECT_TRUE(random_equivalent(aig, ntk));
+  EXPECT_EQ(stats.inverters, 1);
 }
 
 TEST(Mapper, RandomAigsExhaustivelyEquivalent) {
