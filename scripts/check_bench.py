@@ -66,15 +66,12 @@ def main() -> int:
     # most of the above-floor samples) cannot drag the estimate with it
     # when it alone regresses.  'total'/'total_cpu' rows are composites of
     # the other stages and get no vote at all — they'd double-count their
-    # dominant constituent.  Near-duplicate mutant entries (NAME~mJ from
-    # --bench-set nearduplicate) also get no vote: their warm times are
-    # dominated by how much of the circuit the mutation dirtied — a
-    # property of the splice, not of the host.  A uniform slowdown still
-    # shifts every kind equally and cancels; a single-stage regression
-    # shifts only its own vote.
+    # dominant constituent.  A uniform slowdown still shifts every kind
+    # equally and cancels; a single-stage regression shifts only its own
+    # vote.
     by_kind = {}
     for name, stage, base, now in rows:
-        if not stage.startswith("total") and "~m" not in name:
+        if not stage.startswith("total"):
             by_kind.setdefault(stage, []).append(now / base)
     if by_kind:
         speed = statistics.median(

@@ -5,7 +5,6 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -13,7 +12,6 @@
 #include "cli/report.hpp"
 #include "common/require.hpp"
 #include "cut/cut_enum.hpp"
-#include "fuzz/mutate.hpp"
 #include "gen/registry.hpp"
 #include "io/json.hpp"
 #include "serve/json_out.hpp"
@@ -109,12 +107,6 @@ io::Json bench_json(const CircuitBench& b, bool with_cec) {
   return stages;
 }
 
-std::string render_json(const io::Json& j) {
-  std::ostringstream os;
-  j.write(os, 0);
-  return os.str();
-}
-
 void write_bench_out(const Options& opts, const io::Json& root) {
   if (opts.bench_out == "-") {
     root.write(std::cout, 2);
@@ -129,141 +121,9 @@ void write_bench_out(const Options& opts, const io::Json& root) {
   }
 }
 
-/// Root keys shared by every bench JSON: what was measured, and on which
-/// host and build, so snapshots from different machines stay tellable apart.
-io::Json bench_header(const char* bench, const Options& opts, bool with_cec) {
-  io::Json root = io::Json::object();
-  root.set("bench", bench);
-  root.set("config", "t1");
-  root.set("phases", opts.phases);
-  root.set("runs", opts.bench_runs);
-  root.set("verify_rounds", opts.verify_rounds);
-  root.set("cec", with_cec);
-  root.set("nproc", std::thread::hardware_concurrency());
-  root.set("compiler", __VERSION__);
-  root.set("build_type", T1MAP_BUILD_TYPE);
-  return root;
-}
-
-io::Json reuse_json(const t1::ReuseCounters& r) {
-  io::Json j = io::Json::object();
-  j.set("map_cones_total", r.map_cones_total);
-  j.set("map_cones_reused", r.map_cones_reused);
-  return j;
-}
-
-/// Near-duplicate incremental measurement (--bench-set nearduplicate): each
-/// base circuit is mapped cold as the reference, then one-gate mutants are
-/// mapped on an engine whose cone memo was just re-warmed with the base
-/// (untimed), so the NAME~mJ timings are the dirty-region remap cost.  Every
-/// warm mutant run is checked bit-identical to a cold run of the same
-/// mutant — the incremental soundness contract, enforced per rep.
-///
-/// SAT CEC is always off here: bit-identity against the cold run is the
-/// correctness oracle, and miters on mutated arithmetic can take seconds —
-/// they would time the SAT solver, not the splice.  The random-sim
-/// self-check stays in unless --skip-checks.
-int run_bench_nearduplicate(const Options& opts) {
-  static const std::vector<std::string> bases = {"adder64", "mul8",
-                                                 "cordic28"};
-  constexpr int kMutants = 3;
-
-  t1::FlowParams params;
-  params.num_phases = opts.phases;
-  params.use_t1 = true;
-  params.verify_rounds = opts.verify_rounds;
-  const bool with_cec = false;
-  t1::FlowEngine warm(t1::Pipeline::default_flow(with_cec, opts.skip_checks));
-  t1::FlowEngine cold(t1::Pipeline::default_flow(with_cec, opts.skip_checks));
-  cold.set_incremental(false);
-
-  io::Json root = bench_header("nearduplicate", opts, with_cec);
-  root.set("mutants", kMutants);
-  io::Json circuits_json = io::Json::object();
-
-  for (const std::string& name : bases) {
-    std::cerr << "t1map: bench " << name << " + " << kMutants
-              << " mutants (" << opts.bench_runs << " runs) ..." << std::endl;
-    const Aig base = gen::make_named(name);
-
-    // Cold reference runs of the base itself.
-    CircuitBench base_bench;
-    t1::FlowStats base_stats;
-    for (int run = 0; run < opts.bench_runs; ++run) {
-      const Clock::time_point t0 = Clock::now();
-      const t1::EngineResult flow = cold.run(base, params);
-      const double run_total =
-          std::chrono::duration<double>(Clock::now() - t0).count();
-      T1MAP_REQUIRE(flow.ok(), "bench: flow failed on " + name + ": " +
-                                   flow.diagnostics.first_error());
-      base_bench.add(flow, run_total, with_cec);
-      base_stats = flow.stats;
-    }
-    io::Json base_entry = io::Json::object();
-    base_entry.set("input", serve::aig_input_json(base, /*with_depth=*/false));
-    base_entry.set("stats", serve::flow_stats_json(base_stats));
-    base_entry.set("stages", bench_json(base_bench, with_cec));
-    circuits_json.set(name, std::move(base_entry));
-
-    for (int m = 1; m <= kMutants; ++m) {
-      const Aig mutant = fuzz::mutate_aig(
-          base, fuzz::MutateOptions{static_cast<std::uint64_t>(m), 1});
-      const std::string key = name + "~m" + std::to_string(m);
-
-      // Cold reference: the bit-identity oracle for every warm rep.
-      const t1::EngineResult ref = cold.run(mutant, params);
-      T1MAP_REQUIRE(ref.ok(), "bench: cold flow failed on " + key + ": " +
-                                  ref.diagnostics.first_error());
-      const std::string ref_stats =
-          render_json(serve::flow_stats_json(ref.stats));
-
-      CircuitBench bench;
-      t1::ReuseCounters reuse;
-      t1::FlowStats stats;
-      for (int run = 0; run < opts.bench_runs; ++run) {
-        // Re-warm the memo with the base (untimed): the previous rep left
-        // the mutant's own artifacts in it, which would turn the next rep
-        // into an exact-hit measurement instead of a one-gate-edit one.
-        (void)warm.run(base, params);
-
-        const Clock::time_point t0 = Clock::now();
-        const t1::EngineResult flow = warm.run(mutant, params);
-        const double run_total =
-            std::chrono::duration<double>(Clock::now() - t0).count();
-        T1MAP_REQUIRE(flow.ok(), "bench: warm flow failed on " + key + ": " +
-                                     flow.diagnostics.first_error());
-        T1MAP_REQUIRE(
-            render_json(serve::flow_stats_json(flow.stats)) == ref_stats,
-            "bench: warm run of " + key + " diverged from its cold run "
-            "(incremental splice is unsound)");
-        bench.add(flow, run_total, with_cec);
-        reuse = flow.reuse;
-        stats = flow.stats;
-      }
-
-      io::Json entry = io::Json::object();
-      entry.set("input", serve::aig_input_json(mutant, /*with_depth=*/false));
-      entry.set("stats", serve::flow_stats_json(stats));
-      entry.set("stages", bench_json(bench, with_cec));
-      entry.set("reuse", reuse_json(reuse));
-      circuits_json.set(key, std::move(entry));
-
-      std::fprintf(stderr,
-                   "t1map: bench %-14s total %.1f ms (map reuse %u/%u)\n",
-                   key.c_str(),
-                   bench.total.sum / static_cast<double>(bench.total.count),
-                   reuse.map_cones_reused, reuse.map_cones_total);
-    }
-  }
-  root.set("circuits", std::move(circuits_json));
-  write_bench_out(opts, root);
-  return 0;
-}
-
 }  // namespace
 
 int run_bench(const Options& opts) {
-  if (opts.bench_set == "nearduplicate") return run_bench_nearduplicate(opts);
   // Option validation guarantees --gen and --bench-set are exclusive;
   // an empty bench_set means the default small subset.
   const std::vector<std::string> circuits =
@@ -284,12 +144,20 @@ int run_bench(const Options& opts) {
   // every circuit, which is exactly how a long-lived mapping service runs.
   // The pipeline is the same one report mode would run (--passes is
   // rejected in bench mode, so this is the skip_checks/CEC selection).
-  // The cone memo is off: every rep re-runs the same input, so a warm
-  // engine would time full-map splices instead of cold runs.
   t1::FlowEngine engine(build_pipeline(opts));
-  engine.set_incremental(false);
 
-  io::Json root = bench_header("flow", opts, with_cec);
+  // What was measured, and on which host and build, so snapshots from
+  // different machines stay tellable apart.
+  io::Json root = io::Json::object();
+  root.set("bench", "flow");
+  root.set("config", "t1");
+  root.set("phases", opts.phases);
+  root.set("runs", opts.bench_runs);
+  root.set("verify_rounds", opts.verify_rounds);
+  root.set("cec", with_cec);
+  root.set("nproc", std::thread::hardware_concurrency());
+  root.set("compiler", __VERSION__);
+  root.set("build_type", T1MAP_BUILD_TYPE);
   io::Json circuits_json = io::Json::object();
 
   std::vector<Aig> aigs;

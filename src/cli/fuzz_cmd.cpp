@@ -14,7 +14,6 @@ int run_fuzz_cmd(const Options& opts) {
   fopts.aig.num_ops = static_cast<std::uint32_t>(opts.fuzz_nodes);
   fopts.phases = opts.phases;
   fopts.verify_rounds = opts.verify_rounds > 8 ? 8 : opts.verify_rounds;
-  fopts.mutate = opts.fuzz_mutate;
   fopts.repro_dir = opts.fuzz_dir;
   fopts.log = &std::cerr;
 

@@ -107,10 +107,9 @@ Options parse_options(int argc, const char* const* argv) {
       bench_only_flag = arg;
       opts.bench_set = value_of(i);
       if (opts.bench_set != "small" && opts.bench_set != "table1" &&
-          opts.bench_set != "deep" && opts.bench_set != "nearduplicate") {
-        throw UsageError(
-            "--bench-set must be small|table1|deep|nearduplicate, got '" +
-            opts.bench_set + "'");
+          opts.bench_set != "deep") {
+        throw UsageError("--bench-set must be small|table1|deep, got '" +
+                         opts.bench_set + "'");
       }
     } else if (arg == "--bench-out") {
       bench_only_flag = arg;
@@ -159,14 +158,6 @@ Options parse_options(int argc, const char* const* argv) {
     } else if (arg == "--fuzz-nodes") {
       fuzz_only_flag = arg;
       opts.fuzz_nodes = parse_int(arg, value_of(i), 5, 1 << 16);
-    } else if (arg == "--fuzz-mutate") {
-      fuzz_only_flag = arg;
-      opts.fuzz_mutate = parse_int(arg, value_of(i), 0, 64);
-    } else if (arg == "--incremental-from") {
-      opts.incremental_from = value_of(i);
-      if (opts.incremental_from.empty()) {
-        throw UsageError("--incremental-from expects a file path");
-      }
     } else if (arg == "--json") {
       opts.json = true;
     } else if (arg == "--out-blif") {
@@ -214,10 +205,6 @@ Options parse_options(int argc, const char* const* argv) {
       throw UsageError("--fuzz always runs the full differential pipeline; "
                        "--passes/--skip-checks do not apply");
     }
-    if (!opts.incremental_from.empty()) {
-      throw UsageError("--incremental-from primes a report-mode run; for "
-                       "incremental coverage under --fuzz use --fuzz-mutate");
-    }
     if (opts.config != "all") {
       throw UsageError("--fuzz always runs all three configurations; "
                        "--config " + opts.config + " has no effect there");
@@ -264,11 +251,6 @@ Options parse_options(int argc, const char* const* argv) {
       throw UsageError("--json/--paper and the export options do not apply "
                        "to --serve (responses are always JSONL on stdout)");
     }
-    if (!opts.incremental_from.empty()) {
-      throw UsageError("--incremental-from is a report-mode option; serve "
-                       "mode reuses cones across its request stream on its "
-                       "own");
-    }
     if (opts.phases < 3) {
       throw UsageError("--serve defaults jobs to the t1 configuration and "
                        "needs --phases >= 3");
@@ -302,11 +284,6 @@ Options parse_options(int argc, const char* const* argv) {
     if (!opts.gen_name.empty() && !opts.bench_set.empty()) {
       throw UsageError("--gen benches a single circuit; it conflicts with "
                        "--bench-set " + opts.bench_set);
-    }
-    if (!opts.incremental_from.empty()) {
-      throw UsageError("--incremental-from is a report-mode option; "
-                       "--bench-set nearduplicate is the bench-mode "
-                       "incremental measurement");
     }
     // Reject report-mode options bench mode would otherwise ignore.
     if (opts.config != "all" && opts.config != "t1") {
@@ -372,13 +349,10 @@ std::string usage() {
       "  --bench-runs N              repetitions per circuit (default 3;\n"
       "                              with 1 run the JSON omits the mean/max\n"
       "                              jitter fields)\n"
-      "  --bench-set small|table1|deep|nearduplicate\n"
+      "  --bench-set small|table1|deep\n"
       "                              circuit set (default small; table1 runs\n"
       "                              the paper-size benchmarks, deep the\n"
-      "                              long-chain adder256/cordic32/log2_16,\n"
-      "                              nearduplicate one-gate mutants mapped on\n"
-      "                              a base-circuit-warmed engine — the\n"
-      "                              incremental-mapping measurement)\n"
+      "                              long-chain adder256/cordic32/log2_16)\n"
       "  --bench-out FILE            bench output path ('-' = stdout;\n"
       "                              default BENCH_flow.json)\n"
 
@@ -419,15 +393,6 @@ std::string usage() {
       "                              (default fuzz-repros)\n"
       "  --fuzz-nodes M              max operator draws per random AIG\n"
       "                              (default 60)\n"
-      "  --fuzz-mutate K             per iteration, also map K one-gate\n"
-      "                              mutants of the AIG on a memo-warmed\n"
-      "                              engine and assert bit-identity with a\n"
-      "                              cold engine (default 0 = off)\n"
-      "  --incremental-from FILE     map FILE (AIGER or BLIF) first to warm\n"
-      "                              the mapper's cone memo, then map the\n"
-      "                              requested circuit incrementally; the\n"
-      "                              report shows the cone reuse counters.\n"
-      "                              Results are bit-identical either way\n"
       "  --out-blif FILE             write the mapped netlist as BLIF\n"
       "  --out-dot FILE              write a stage-annotated DOT graph\n"
       "  --export-aiger FILE         write the source AIG as AIGER (binary\n"

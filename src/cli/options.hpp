@@ -30,14 +30,12 @@ struct Options {
   bool skip_checks = false;    // --skip-checks drops timing/sim/cec passes
   std::string passes;          // --passes LIST (explicit pipeline, e.g.
                                //   "map,t1,stage,dff"; empty = default)
-  std::string incremental_from;  // --incremental-from FILE (prime the
-                                 //   engine's cone memo by mapping FILE
-                                 //   first; the report gains reuse counters)
 
   // Bench harness (perf trajectory; see PERF.md).
   bool bench = false;           // --bench (per-stage wall-time measurement)
   int bench_runs = 3;           // --bench-runs N (repetitions per circuit)
-  std::string bench_set;        // --bench-set small|table1 (empty = small)
+  std::string bench_set;        // --bench-set small|table1|deep (empty =
+                                //   small)
   std::string bench_out = "BENCH_flow.json";  // --bench-out FILE ("-"=stdout)
 
   // Serving mode (cached JSONL request loop; see README "Serving mode").
@@ -57,8 +55,6 @@ struct Options {
   std::uint64_t fuzz_seed = 1;   // --fuzz-seed S (base PRNG seed)
   std::string fuzz_dir = "fuzz-repros";  // --fuzz-dir DIR (repro .aag files)
   int fuzz_nodes = 60;           // --fuzz-nodes M (max operator draws/AIG)
-  int fuzz_mutate = 0;           // --fuzz-mutate K (mutants per iteration
-                                 //   for the incremental bit-identity check)
 
   // Output.
   bool json = false;      // --json (machine-readable report on stdout)

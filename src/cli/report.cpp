@@ -18,18 +18,14 @@ std::string nphi_key(int phases) {
 }
 
 /// One configuration on its own engine; throws ContractError when a check
-/// pass failed so the driver exits non-zero.  With `prime`, that design is
-/// mapped first (untimed) to warm the engine's cone memo, which the
-/// measured run then splices from; without it the run is cold.
+/// pass failed so the driver exits non-zero.
 ConfigResult run_one_config(const Aig& aig, const std::string& key,
-                            const Options& opts, const Aig* prime) {
+                            const Options& opts) {
   ConfigResult result;
   result.key = key;
   result.params = config_params(key, opts);
 
   t1::FlowEngine engine(build_pipeline(opts));
-  engine.set_incremental(prime != nullptr);
-  if (prime != nullptr) (void)engine.run(*prime, result.params);
   result.flow = engine.run(aig, result.params);
   T1MAP_REQUIRE(result.flow.ok(),
                 "config " + key + " failed: " +
@@ -75,8 +71,7 @@ t1::FlowParams config_params(const std::string& key, const Options& opts) {
 
 std::vector<ConfigResult> run_configs(const Aig& aig,
                                       const std::vector<std::string>& keys,
-                                      const Options& opts,
-                                      const Aig* prime) {
+                                      const Options& opts) {
   std::vector<ConfigResult> results(keys.size());
 
   const bool parallel = opts.threads > 1 && keys.size() > 1;
@@ -96,8 +91,7 @@ std::vector<ConfigResult> run_configs(const Aig& aig,
   // scratch goes unused.
   t1::for_each_with_scratch(keys.size(), opts.threads,
                             [&](std::size_t i, t1::FlowScratch& /*worker*/) {
-                              results[i] =
-                                  run_one_config(aig, keys[i], opts, prime);
+                              results[i] = run_one_config(aig, keys[i], opts);
                             });
   return results;
 }
@@ -133,19 +127,9 @@ io::Json report_json(const Report& report) {
     }
     j.set("cec", c.flow.cec);
     j.set("seconds", c.flow.times.total_wall);
-    if (!report.incremental_from.empty()) {
-      const t1::ReuseCounters& r = c.flow.reuse;
-      io::Json reuse = io::Json::object();
-      reuse.set("map_cones_total", r.map_cones_total);
-      reuse.set("map_cones_reused", r.map_cones_reused);
-      j.set("reuse", std::move(reuse));
-    }
     configs.set(c.key, std::move(j));
   }
   root.set("configs", std::move(configs));
-  if (!report.incremental_from.empty()) {
-    root.set("incremental_from", report.incremental_from);
-  }
 
   if (const gen::PaperRow* row = gen::paper_row(report.design)) {
     io::Json paper = io::Json::object();
@@ -194,18 +178,6 @@ std::string report_text(const Report& report, bool with_paper) {
                   s.logic_cells, s.splitters, s.dffs, s.area_jj,
                   s.depth_cycles, c.flow.cec.c_str(), c.flow.times.total_wall);
     os << line;
-  }
-
-  if (!report.incremental_from.empty()) {
-    std::snprintf(line, sizeof(line), "\nincremental (primed from %s):\n",
-                  report.incremental_from.c_str());
-    os << line;
-    for (const ConfigResult& c : report.configs) {
-      const t1::ReuseCounters& r = c.flow.reuse;
-      std::snprintf(line, sizeof(line), "%-16s map %u/%u cones reused\n",
-                    c.key.c_str(), r.map_cones_reused, r.map_cones_total);
-      os << line;
-    }
   }
 
   const ConfigResult* t1c = find_config(report, "t1");

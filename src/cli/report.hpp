@@ -30,9 +30,6 @@ struct Report {
   std::uint32_t num_ands = 0;
   int depth = 0;
   int phases = 4;  // the n of nphi / t1
-  /// Non-empty when the engine was primed via --incremental-from: the
-  /// priming source, and a per-config reuse section in both renderings.
-  std::string incremental_from;
   std::vector<ConfigResult> configs;
 };
 
@@ -50,15 +47,11 @@ t1::FlowParams config_params(const std::string& key, const Options& opts);
 
 /// Runs every configuration in `keys` on `aig`, each on its own
 /// `FlowEngine` over `build_pipeline(opts)` — with `--threads`,
-/// configurations run in parallel (results stay in `keys` order).
-/// `prime`, when given (--incremental-from), is mapped first on each
-/// configuration's engine to warm its cone memo; the timed run then splices
-/// from it and its reuse counters land in the results.  Throws
+/// configurations run in parallel (results stay in `keys` order).  Throws
 /// ContractError if any configuration's check passes fail.
 std::vector<ConfigResult> run_configs(const Aig& aig,
                                       const std::vector<std::string>& keys,
-                                      const Options& opts,
-                                      const Aig* prime = nullptr);
+                                      const Options& opts);
 
 /// Machine-readable report (the `--json` output).
 io::Json report_json(const Report& report);

@@ -131,16 +131,7 @@ int run(const Options& opts) {
   report.num_ands = aig.num_ands();
   report.depth = aig.depth();
 
-  Aig prime;
-  if (!opts.incremental_from.empty()) {
-    T1MAP_REQUIRE(opts.incremental_from != "-",
-                  "--incremental-from cannot read stdin");
-    prime = load_file(opts.incremental_from).aig;
-    report.incremental_from = opts.incremental_from;
-  }
-  report.configs =
-      run_configs(aig, selected_configs(opts), opts,
-                  opts.incremental_from.empty() ? nullptr : &prime);
+  report.configs = run_configs(aig, selected_configs(opts), opts);
   T1MAP_REQUIRE(!report.configs.empty(), "no configuration selected");
 
   // Export the most interesting config: t1 when run, else the last one.

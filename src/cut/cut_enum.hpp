@@ -189,9 +189,7 @@ inline Tt expand_cut_tt(const Cut& cut, const CutLeaves& to) {
 void prune_dominated(CutScratch& scratch, int max_cuts);
 
 /// Computes the cut set of one node into `scratch.kept`, reading only the
-/// fanins' (already committed) sets from `cuts`.  This is the per-node body
-/// shared by the cold enumerator and the memo splice (cut/cone_splice.hpp),
-/// which runs it on dirty nodes only.
+/// fanins' (already committed) sets from `cuts`.
 template <class Ntk>
 void enumerate_node_cuts(const Ntk& ntk, const CutParams& params,
                          const CutSet& cuts, std::uint32_t node,
@@ -277,9 +275,7 @@ void enumerate_node_cuts(const Ntk& ntk, const CutParams& params,
 /// allocations, so a workspace reused across many enumerations (the
 /// FlowEngine runs one per mapping and one per T1 detection, thousands of
 /// times in batched serving) regrows its arena only for a network larger
-/// than any it has held.  A mapper run with a cone memo swaps the arena
-/// with the memo's (`sfq::map_to_sfq`), so there two arenas take turns and
-/// both have grown after the second run.
+/// than any it has held.
 struct CutWorkspace {
   CutSet cuts;
   detail::CutScratch scratch;

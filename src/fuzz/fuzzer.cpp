@@ -8,7 +8,6 @@
 
 #include "common/require.hpp"
 #include "common/rng.hpp"
-#include "fuzz/mutate.hpp"
 #include "io/aiger.hpp"
 #include "io/blif.hpp"
 #include "sat/cec.hpp"
@@ -72,19 +71,6 @@ Aig rebuild_with_pos(const Aig& aig,
   return out.cleaned();
 }
 
-/// Serialized materialized result — the warm-vs-cold comparison key.  BLIF
-/// carries the full netlist (kinds, fanins, PO wiring, names); the stage
-/// vector and headline stats are appended because BLIF does not encode them.
-std::string result_signature(const t1::EngineResult& result) {
-  std::ostringstream os;
-  io::write_blif(os, result.materialized.netlist, "sig");
-  os << "|sigma";
-  for (const int s : result.materialized.stages.sigma) os << ' ' << s;
-  os << "|po " << result.materialized.stages.sigma_po;
-  os << "|dffs " << result.stats.dffs;
-  return os.str();
-}
-
 /// The per-config differential check: flow, fault hook, CEC oracle.  A
 /// `ContractError` thrown anywhere inside is a failure like any other, so
 /// it is minimized and dumped instead of ending the run.
@@ -97,11 +83,6 @@ class ConfigChecker {
 
   Outcome run(const Aig& aig, const Config& config) {
     return guarded([&] { return check_flow(aig, config); });
-  }
-
-  Outcome run_incremental(const Aig& aig, const Config& config,
-                          std::uint64_t seed) {
-    return guarded([&] { return check_incremental(aig, config, seed); });
   }
 
  private:
@@ -131,41 +112,6 @@ class ConfigChecker {
                   ? "oracle verdict unknown"
                   : "netlist differs from source AIG at output " +
                         std::to_string(cec.failing_output)};
-    }
-    return {};
-  }
-
-  /// The incremental bit-identity check: each one-gate mutant of `aig` must
-  /// map identically on a memo-warmed engine (primed with `aig` itself, so
-  /// the mutant run splices across the edit) and on a cold engine with
-  /// incremental mapping disabled.
-  Outcome check_incremental(const Aig& aig, const Config& config,
-                            std::uint64_t seed) {
-    t1::FlowEngine warm{t1::Pipeline::default_flow(false)};
-    t1::FlowEngine cold{t1::Pipeline::default_flow(false)};
-    cold.set_incremental(false);
-    ++flows_run_;
-    warm.run(aig, config.params);  // prime the memo with the unedited AIG
-    for (int m = 0; m < options_.mutate; ++m) {
-      const Aig mutant =
-          mutate_aig(aig, MutateOptions{seed + static_cast<std::uint64_t>(m),
-                                        /*edits=*/1});
-      flows_run_ += 2;
-      const t1::EngineResult inc = warm.run(mutant, config.params);
-      const t1::EngineResult ref = cold.run(mutant, config.params);
-      if (inc.status != ref.status) {
-        return {"incremental",
-                "mutant " + std::to_string(m) + ": warm/cold status differ (" +
-                    t1::flow_status_name(inc.status) + " vs " +
-                    t1::flow_status_name(ref.status) + ")"};
-      }
-      if (inc.has_materialized != ref.has_materialized ||
-          (inc.has_materialized &&
-           result_signature(inc) != result_signature(ref))) {
-        return {"incremental",
-                "mutant " + std::to_string(m) +
-                    ": incremental result differs from cold run"};
-      }
     }
     return {};
   }
@@ -360,32 +306,6 @@ FuzzReport run_fuzz(const FuzzOptions& options) {
                      << "\n";
       }
       report.failures.push_back(std::move(failure));
-    }
-
-    if (options.mutate > 0) {
-      for (const Config& config : configs) {
-        const std::uint64_t mutate_seed =
-            options.seed ^ (0xD1B54A32D192ED03ull * (iter * 31 + 1));
-        Outcome outcome = checker.run_incremental(aig, config, mutate_seed);
-        if (!outcome.failed()) continue;
-        FuzzFailure failure{iter, config.key, outcome.check, outcome.detail,
-                            "", {}};
-        failure.minimized = minimize(
-            aig,
-            [&](const Aig& candidate) {
-              return candidate.num_pos() >= 1 &&
-                     checker.run_incremental(candidate, config, mutate_seed)
-                             .check == outcome.check;
-            },
-            /*budget=*/24);
-        failure.repro_path = dump_repro(options, failure);
-        if (options.log != nullptr) {
-          *options.log << "fuzz: iteration " << iter << " FAILED ["
-                       << config.key << "/incremental] " << outcome.detail
-                       << "\n";
-        }
-        report.failures.push_back(std::move(failure));
-      }
     }
 
     if (options.log != nullptr && (iter + 1) % 50 == 0) {

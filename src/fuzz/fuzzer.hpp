@@ -42,12 +42,6 @@ struct FuzzOptions {
   /// bounds (and the seed replaced) so one run covers many shapes.
   RandomAigOptions aig;
   int phases = 4;         // the n of the nφ and T1 configurations
-  /// Mutants per (iteration, configuration) for the incremental check:
-  /// each mutant (one-gate edit of the iteration's AIG, see mutate.hpp)
-  /// is mapped twice — on an engine warmed by the unedited AIG and on a
-  /// cold engine with incremental mapping off — and the two results must
-  /// be bit-identical.  0 disables the check.
-  int mutate = 0;
   int verify_rounds = 2;  // random-sim rounds inside the flow (cheap); the
                           // fuzzer's own SAT CEC is the real oracle
   std::string repro_dir = "fuzz-repros";  // minimized .aag files land here
@@ -62,8 +56,8 @@ struct FuzzFailure {
   int iteration = 0;
   std::string config;  // "baseline_1phi", "baseline_<n>phi", "t1",
                        // or "roundtrip" for format checks
-  std::string check;   // "flow" | "cec" | "contract" | "incremental" |
-                       // "aiger_ascii" | "aiger_binary" | "blif"
+  std::string check;   // "flow" | "cec" | "contract" | "aiger_ascii" |
+                       // "aiger_binary" | "blif"
   std::string detail;
   std::string repro_path;  // minimized .aag ("" when dumping failed)
   Aig minimized;
@@ -71,7 +65,7 @@ struct FuzzFailure {
 
 struct FuzzReport {
   int iterations = 0;
-  long flows_run = 0;  // flow executions, incremental ones included
+  long flows_run = 0;  // flow executions
   double seconds = 0.0;
   std::vector<FuzzFailure> failures;
   bool ok() const { return failures.empty(); }

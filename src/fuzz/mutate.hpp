@@ -1,6 +1,6 @@
 /// \file mutate.hpp
 /// \brief Seeded small-edit AIG mutator — the near-duplicate generator of
-/// the incremental-mapping machinery.
+/// the serve benchmark's edit requests (perfbench/src/serve_workload.cpp).
 ///
 /// `mutate_aig` applies a handful of single-gate edits to a source AIG and
 /// rebuilds it through the normal strashing constructor, so the mutant is a
@@ -14,9 +14,8 @@
 ///     by one gate and retargets that PO).
 ///
 /// Mutants are *not* functionally equivalent to the source — they exist to
-/// exercise re-runs after a small edit (the fuzzer's incremental check, the
-/// `nearduplicate` bench set), where only bit-identity between a warm and a
-/// cold run of the *mutant* matters.
+/// exercise re-runs after a small edit: a near-duplicate request whose
+/// digest misses the cache.
 
 #pragma once
 

@@ -237,12 +237,6 @@ void Server::process_batch(t1::FlowEngine& engine, std::vector<Job>& batch) {
         // that must not masquerade as a mapped design on a later hit.
         if (!job.result.ok()) continue;
         cache_.store(job.key, job.result);
-        const t1::ReuseCounters& r = job.result.reuse;
-        inc_flow_runs_.fetch_add(1, std::memory_order_relaxed);
-        inc_map_total_.fetch_add(r.map_cones_total,
-                                 std::memory_order_relaxed);
-        inc_map_reused_.fetch_add(r.map_cones_reused,
-                                  std::memory_order_relaxed);
       }
     }
     // Aliases re-read through the cache so hit counters stay truthful; a
@@ -301,29 +295,15 @@ void Server::write_response(Connection& conn, const Job& job) {
     }
     w.end_array().end_object();
 
-    {
-      // Incremental (cone-memo) reuse over computed flow runs.
-      const std::uint64_t map_total =
-          inc_map_total_.load(std::memory_order_relaxed);
-      const std::uint64_t map_reused =
-          inc_map_reused_.load(std::memory_order_relaxed);
-      w.key("incremental").begin_object();
-      w.key("flow_runs").value(
-          inc_flow_runs_.load(std::memory_order_relaxed));
-      w.key("map_cones_total").value(map_total);
-      w.key("map_cones_reused").value(map_reused);
-      w.key("map_hit_rate")
-          .value(map_total > 0 ? static_cast<double>(map_reused) /
-                                     static_cast<double>(map_total)
-                               : 0.0);
-      // Only the mapper splices; these keys stay (always 0) for existing
-      // stats readers.
-      w.key("t1_cones_total").value(0);
-      w.key("t1_cones_reused").value(0);
-      w.key("t1_exact_hits").value(0);
-      w.key("stage_splice_hits").value(0);
-      w.end_object();
+    // Ignored; kept for perfbench, which reads these six keys.  Every run
+    // is cold, so each is 0.
+    w.key("incremental").begin_object();
+    for (const char* key :
+         {"map_cones_total", "map_cones_reused", "t1_cones_total",
+          "t1_cones_reused", "t1_exact_hits", "stage_splice_hits"}) {
+      w.key(key).value(0);
     }
+    w.end_object();
 
     {
       const std::lock_guard<std::mutex> lock(latency_mu_);
@@ -494,13 +474,6 @@ std::string Server::summary() const {
      << n.errors << " errors), cache: " << c.hits << " hits / " << c.misses
      << " misses, " << c.entries << " entries, " << c.bytes / 1024 << " KiB";
   if (c.evictions > 0) os << ", " << c.evictions << " evictions";
-  const std::uint64_t map_total =
-      inc_map_total_.load(std::memory_order_relaxed);
-  if (map_total > 0) {
-    os << ", incremental: "
-       << inc_map_reused_.load(std::memory_order_relaxed) << "/" << map_total
-       << " map cones spliced";
-  }
   return os.str();
 }
 

@@ -32,11 +32,9 @@
 /// `TieredCache` (in-memory `FlowCache`, optionally backed by a persistent
 /// `DiskCache` under `cache_dir`), so any client's cold run is every
 /// client's warm hit — across server restarts when the disk tier is on.
-/// Each session's engine keeps a cone memo, so an edit of a design the
-/// session just mapped splices its unchanged cones.  Everything
-/// except the timing fields is deterministic: a given request script
-/// produces byte-identical responses regardless of worker count or
-/// transport.
+/// Every miss runs the flow cold.  Everything except the timing fields is
+/// deterministic: a given request script produces byte-identical responses
+/// regardless of worker count or transport.
 ///
 /// Shutdown: a `quit` command (or `Transport::shutdown()`, e.g. from a
 /// SIGTERM handler) stops the accept loop and asks every session to
@@ -142,16 +140,6 @@ class Server {
   std::atomic<std::uint64_t> errors_{0};
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> connections_{0};
-
-  // Mapper cone-memo (incremental mapping) reuse, accumulated over every
-  // computed (non-cached) ok flow run; the `stats` response reports them
-  // with a hit rate.  Single-threaded dispatch runs on the session engine's
-  // own scratch and splices from its memo; multi-worker dispatch uses
-  // per-worker scratches without a memo, so the reused count stays zero
-  // there by construction.
-  std::atomic<std::uint64_t> inc_flow_runs_{0};
-  std::atomic<std::uint64_t> inc_map_total_{0};
-  std::atomic<std::uint64_t> inc_map_reused_{0};
 
   /// Per-config dispatch-latency histograms ("1phi"/"nphi"/"t1"), merged
   /// across sessions; guarded because sessions record concurrently.

@@ -3,15 +3,26 @@
 #include <algorithm>
 #include <array>
 #include <span>
-#include <utility>
-
-#include "aig/aig_digest.hpp"
-#include "common/hash_mix.hpp"
-#include "cut/cone_splice.hpp"
 
 namespace t1map::sfq {
 
 namespace {
+
+/// The covering DP's decision for one AND node: the chosen cut (active
+/// leaves in truth-table variable order), the cell config realizing its
+/// function, and the DP values downstream consumers read.
+struct MapChoice {
+  std::array<std::uint32_t, kMaxCutLeaves> leaves{};
+  std::uint8_t num_leaves = 0;
+  CellConfig config;
+  int arrival = 0;
+  double flow = 0.0;
+  bool valid = false;
+
+  std::span<const std::uint32_t> leaf_span() const {
+    return {leaves.data(), num_leaves};
+  }
+};
 
 /// Match tables: for each arity, tt bits -> realizable configs, plus the
 /// `CutMatch` of every table of arity 0..3.  The cut matches are precomputed
@@ -138,44 +149,15 @@ const CutMatch& match_cut(const Tt& tt) {
   return match_tables().cut_match(tt);
 }
 
-std::uint64_t mapper_params_key(const MapperParams& params) {
-  std::uint64_t h = 0x8F5E2D1B4A6C3907ull;  // domain seed
-  h = mix64(h ^ static_cast<std::uint64_t>(params.cuts.k));
-  h = mix64(h ^ static_cast<std::uint64_t>(params.cuts.max_cuts));
-  return h;
-}
-
 Netlist map_to_sfq(const Aig& aig, const MapperParams& params,
-                   MapStats* stats, CutWorkspace* workspace,
-                   MapMemo* memo, MapReuse* reuse) {
+                   MapStats* stats, CutWorkspace* workspace) {
   T1MAP_REQUIRE(params.cuts.k >= 2 && params.cuts.k <= 3,
                 "SFQ mapper supports cut sizes 2 and 3");
   CutWorkspace local_ws;
   CutWorkspace& ws = workspace != nullptr ? *workspace : local_ws;
-  auto fanout = aig.fanout_counts();
+  const auto fanout = aig.fanout_counts();
 
-  // --- Cone correspondence against the memoized previous run. -------------
-  //
-  // With a usable memo, clean cones splice their cut sets and DP choices and
-  // only dirty ones are recomputed; otherwise everything runs cold.
-  const std::uint64_t memo_key = mapper_params_key(params);
-  std::vector<std::uint64_t> digests;
-  ConeCorrespondence corr;
-  bool splice = false;
-  if (memo != nullptr) {
-    aig_digest::cone_digests(aig, digests);
-    if (memo->valid && memo->params_key == memo_key) {
-      build_cone_correspondence(aig, digests, fanout, memo->digests,
-                                memo->fanouts, corr);
-      splice = corr.num_clean > 0;
-    }
-  }
-
-  if (splice) {
-    enumerate_cuts_spliced(aig, params.cuts, ws, memo->cuts, corr);
-  } else {
-    enumerate_cuts_into(aig, params.cuts, ws);
-  }
+  enumerate_cuts_into(aig, params.cuts, ws);
   const CutSet& cuts = ws.cuts;
 
   // --- Covering DP: best (raw arrival, flow) choice per AND node. ----------
@@ -227,7 +209,6 @@ Netlist map_to_sfq(const Aig& aig, const MapperParams& params,
         if (better) {
           chosen.num_leaves = static_cast<std::uint8_t>(num_active);
           std::copy_n(active.begin(), num_active, chosen.leaves.begin());
-          chosen.tt = match.reduced;
           chosen.config = config;
           chosen.arrival = arr;
           chosen.flow = fl;
@@ -247,7 +228,6 @@ Netlist map_to_sfq(const Aig& aig, const MapperParams& params,
       std::uint8_t neg = 0;
       if (lit_is_complemented(f0)) neg |= 1;
       if (lit_is_complemented(f1)) neg |= 2;
-      fb.tt = tts::and2().apply_polarity(neg);
       fb.config = CellConfig{CellKind::kAnd2, neg, false,
                              cell_area_jj(CellKind::kAnd2) +
                                  cell_area_jj(CellKind::kNot) *
@@ -265,37 +245,8 @@ Netlist map_to_sfq(const Aig& aig, const MapperParams& params,
     planned_neg[n] = chosen.config.output_neg ? 1 : 0;
   };
 
-  if (reuse != nullptr) {
-    reuse->cones_total = aig.num_ands();
-    reuse->cones_reused = 0;
-  }
-  if (splice) {
-    // Clean nodes take the memoized DP verdict with leaf ids translated;
-    // the clean predicate (digests, fanouts, fanins transitively) makes the
-    // copied arrival/flow/polarity exactly what recomputation would yield.
-    for (std::uint32_t n = 0; n < aig.num_nodes(); ++n) {
-      if (!aig.is_and(n)) continue;
-      const std::uint32_t o = corr.new_to_old[n];
-      if (o == kNoCorrespondent) {
-        compute_node(n);
-        continue;
-      }
-      MapChoice c = memo->choices[o];
-      T1MAP_ASSERT(c.valid);
-      for (std::uint8_t i = 0; i < c.num_leaves; ++i) {
-        c.leaves[i] = corr.old_to_new[c.leaves[i]];
-        T1MAP_ASSERT(c.leaves[i] != kNoCorrespondent);
-      }
-      best[n] = c;
-      arrival[n] = c.arrival;
-      flow[n] = c.flow;
-      planned_neg[n] = c.config.output_neg ? 1 : 0;
-      if (reuse != nullptr) ++reuse->cones_reused;
-    }
-  } else {
-    for (std::uint32_t n = 0; n < aig.num_nodes(); ++n) {
-      if (aig.is_and(n)) compute_node(n);
-    }
+  for (std::uint32_t n = 0; n < aig.num_nodes(); ++n) {
+    if (aig.is_and(n)) compute_node(n);
   }
 
   // --- Cover extraction: mark required nodes from the POs. -----------------
@@ -391,21 +342,6 @@ Netlist map_to_sfq(const Aig& aig, const MapperParams& params,
       continue;
     }
     ntk.add_po(get_signal(n, lit_is_complemented(po)), aig.po_name(i));
-  }
-
-  // --- Memo refill: this run becomes the baseline for the next one. --------
-  //
-  // Nothing is copied — the workspace cut arena and the DP choice vector are
-  // exactly the artifacts a future splice needs.  The arenas are swapped, not
-  // moved, so the workspace keeps the old memo's allocation for the next run
-  // (which resets it at the top of the call anyway).
-  if (memo != nullptr) {
-    memo->digests = std::move(digests);
-    memo->fanouts = std::move(fanout);
-    std::swap(memo->cuts, ws.cuts);
-    memo->choices = std::move(best);
-    memo->params_key = memo_key;
-    memo->valid = true;
   }
 
   if (stats != nullptr) {

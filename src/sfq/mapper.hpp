@@ -15,7 +15,6 @@
 
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -73,49 +72,6 @@ struct CutMatch {
 /// The precomputed `CutMatch` of `tt` (arity 0..3).
 const CutMatch& match_cut(const Tt& tt);
 
-/// The covering DP's decision for one AND node: the chosen cut (active
-/// leaves in truth-table variable order), its function, the cell config
-/// realizing it, and the DP values downstream consumers read.  Flat and
-/// copyable — this is the per-cone artifact the incremental mapper splices.
-struct MapChoice {
-  std::array<std::uint32_t, kMaxCutLeaves> leaves{};
-  std::uint8_t num_leaves = 0;
-  Tt tt;
-  CellConfig config;
-  int arrival = 0;
-  double flow = 0.0;
-  bool valid = false;
-
-  std::span<const std::uint32_t> leaf_span() const {
-    return {leaves.data(), num_leaves};
-  }
-};
-
-/// Retained artifacts of one mapping run, keyed by per-node cone digests:
-/// the full cut sets and DP choices, plus the digests/fanouts needed to
-/// build a cone correspondence against the next AIG.  Owned by
-/// `t1::FlowEngine` (see `set_incremental`); contents are moved in after
-/// each run (no deep copies), the cut arena by a swap with the workspace's.
-struct MapMemo {
-  bool valid = false;
-  std::uint64_t params_key = 0;  // fingerprint of the cut parameters
-  std::vector<std::uint64_t> digests;
-  std::vector<std::uint32_t> fanouts;
-  CutSet cuts;
-  std::vector<MapChoice> choices;
-};
-
-/// Fingerprint of every `MapperParams` field that influences memoized
-/// artifacts; a mismatch invalidates a `MapMemo` wholesale.
-std::uint64_t mapper_params_key(const MapperParams& params);
-
-/// Reuse counters of one `map_to_sfq` call: AND nodes total vs. spliced
-/// from the memo (a cold run reports reused = 0).
-struct MapReuse {
-  std::uint32_t cones_total = 0;
-  std::uint32_t cones_reused = 0;
-};
-
 /// Maps `aig` to an SFQ netlist with identical PI/PO interface and
 /// function.  The result contains logic cells only (no DFFs, no T1s —
 /// T1 substitution is the separate detection pass of t1/).
@@ -123,16 +79,8 @@ struct MapReuse {
 /// `workspace`, when given, supplies the cut-enumeration arena; it is reset
 /// per call, so reusing one workspace across many mappings avoids the
 /// per-run arena growth without changing the result.
-///
-/// `memo`, when given, enables cone-level incremental mapping: cut sets and
-/// DP choices of nodes whose fan-in cone digest (and fanout count) match a
-/// node of the memoized previous run are spliced instead of recomputed, and
-/// the memo is refilled with this run's artifacts before returning.  The
-/// mapped netlist is bit-identical to a memo-less run.  `reuse`, when
-/// given, receives the splice counters.
 Netlist map_to_sfq(const Aig& aig, const MapperParams& params = {},
                    MapStats* stats = nullptr,
-                   CutWorkspace* workspace = nullptr,
-                   MapMemo* memo = nullptr, MapReuse* reuse = nullptr);
+                   CutWorkspace* workspace = nullptr);
 
 }  // namespace t1map::sfq

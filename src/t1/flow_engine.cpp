@@ -111,14 +111,10 @@ void FlowContext::fail(FlowStatus failure, std::string pass,
 
 bool MapPass::run(FlowContext& ctx) const {
   T1MAP_REQUIRE(ctx.aig != nullptr, "MapPass: context carries no source AIG");
+  T1MAP_REQUIRE(ctx.scratch != nullptr, "MapPass: context carries no scratch");
   sfq::MapStats map_stats;
-  sfq::MapReuse map_reuse;
-  ctx.mapped = sfq::map_to_sfq(
-      *ctx.aig, ctx.params.mapper, &map_stats,
-      ctx.scratch != nullptr ? &ctx.scratch->cuts : nullptr,
-      ctx.scratch != nullptr ? ctx.scratch->memo : nullptr, &map_reuse);
-  ctx.reuse.map_cones_total = map_reuse.cones_total;
-  ctx.reuse.map_cones_reused = map_reuse.cones_reused;
+  ctx.mapped = sfq::map_to_sfq(*ctx.aig, ctx.params.mapper, &map_stats,
+                               &ctx.scratch->cuts);
   ctx.mapped.check_well_formed();
   ctx.has_mapped = true;
   return true;
@@ -130,10 +126,11 @@ bool T1DetectPass::run(FlowContext& ctx) const {
   if (!ctx.params.use_t1) return true;  // disabled by configuration
   T1MAP_REQUIRE(ctx.params.num_phases >= 3,
                 "the T1 flow needs at least 3 phases (input separation)");
-  const DetectResult det = detect_t1(
-      ctx.mapped, ctx.params.detect,
-      ctx.scratch != nullptr ? &ctx.scratch->cuts : nullptr,
-      ctx.scratch != nullptr ? &ctx.scratch->t1_detect : nullptr);
+  T1MAP_REQUIRE(ctx.scratch != nullptr,
+                "T1DetectPass: context carries no scratch");
+  const DetectResult det =
+      detect_t1(ctx.mapped, ctx.params.detect, &ctx.scratch->cuts,
+                &ctx.scratch->t1_detect);
   ctx.stats.t1_found = det.found;
   ctx.stats.t1_used = det.used;
   if (!det.accepted.empty()) {
@@ -197,9 +194,11 @@ bool SimEquivPass::run(FlowContext& ctx) const {
   T1MAP_REQUIRE(ctx.aig != nullptr, "SimEquivPass: context carries no source "
                                     "AIG");
   if (ctx.params.verify_rounds <= 0) return true;
+  T1MAP_REQUIRE(ctx.scratch != nullptr,
+                "SimEquivPass: context carries no scratch");
   const std::optional<sfq::Mismatch> mismatch = sfq::find_sim_mismatch(
       *ctx.aig, ctx.materialized.netlist, ctx.params.verify_rounds,
-      /*seed=*/1, ctx.scratch != nullptr ? &ctx.scratch->sim : nullptr);
+      /*seed=*/1, &ctx.scratch->sim);
   if (mismatch.has_value()) {
     ctx.fail(FlowStatus::kNotEquivalent, name(),
              "flow result is not functionally equivalent to the source AIG "
@@ -215,13 +214,11 @@ bool SatCecPass::run(FlowContext& ctx) const {
                                       "(run dff before cec)");
   T1MAP_REQUIRE(ctx.aig != nullptr, "SatCecPass: context carries no source "
                                     "AIG");
-  const sat::CecResult result =
-      ctx.scratch != nullptr
-          ? sat::check_equivalence(*ctx.aig, ctx.materialized.netlist,
-                                   ctx.params.cec_conflict_limit,
-                                   ctx.scratch->solver)
-          : sat::check_equivalence(*ctx.aig, ctx.materialized.netlist,
-                                   ctx.params.cec_conflict_limit);
+  T1MAP_REQUIRE(ctx.scratch != nullptr,
+                "SatCecPass: context carries no scratch");
+  const sat::CecResult result = sat::check_equivalence(
+      *ctx.aig, ctx.materialized.netlist, ctx.params.cec_conflict_limit,
+      ctx.scratch->solver);
   ctx.cec = cec_verdict_name(result.verdict);
   if (result.verdict == sat::CecResult::Verdict::kNotEquivalent) {
     ctx.fail(FlowStatus::kNotEquivalent, name(),
@@ -369,19 +366,7 @@ std::uint64_t params_fingerprint(const FlowParams& params) {
 
 FlowEngine::FlowEngine() : FlowEngine(Pipeline::default_flow()) {}
 
-FlowEngine::FlowEngine(Pipeline pipeline) : pipeline_(std::move(pipeline)) {
-  set_incremental(true);
-}
-
-void FlowEngine::set_incremental(bool enabled) {
-  if (enabled) {
-    if (memo_ == nullptr) memo_ = std::make_unique<sfq::MapMemo>();
-    scratch_.memo = memo_.get();
-  } else {
-    scratch_.memo = nullptr;
-    memo_.reset();
-  }
-}
+FlowEngine::FlowEngine(Pipeline pipeline) : pipeline_(std::move(pipeline)) {}
 
 void FlowEngine::set_pipeline(Pipeline pipeline) {
   pipeline_ = std::move(pipeline);
@@ -467,8 +452,8 @@ std::vector<EngineResult> FlowEngine::run_many(
   }
   std::vector<EngineResult> results(aigs.size());
   if (num_threads <= 1 || aigs.size() == 1) {
-    // Sequential runs stay on the engine's own scratch so capacity (and the
-    // cone memo, when on) keeps accumulating across run()/run_many() calls.
+    // Sequential runs stay on the engine's own scratch so capacity keeps
+    // accumulating across run()/run_many() calls.
     for (std::size_t i = 0; i < aigs.size(); ++i) {
       results[i] = run_with(pipeline_, *aigs[i], params, scratch_);
     }

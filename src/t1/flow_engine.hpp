@@ -19,10 +19,9 @@
 ///   * `FlowEngine::run_many` executes the pipeline over a batch of AIGs on
 ///     a thread pool with per-thread scratch; results are index-aligned and
 ///     bit-for-bit independent of the thread count.
-///   * The engine caches nothing across calls but the cone memo
-///     (`set_incremental`).  Result caching keyed on the source AIG lives in
-///     the serve layer (serve/tiered_cache.hpp), which calls `run_many` on
-///     its misses only.
+///   * The engine caches nothing across calls.  Result caching keyed on the
+///     source AIG lives in the serve layer (serve/tiered_cache.hpp), which
+///     calls `run_many` on its misses only.
 ///
 /// Minimal embedding:
 /// \code
@@ -100,16 +99,11 @@ const char* cec_verdict_name(sat::CecResult::Verdict verdict);
 
 // --- Engine state ------------------------------------------------------------
 
-/// Cone reuse counters of one run.  Only the mapper splices (see
-/// `sfq::MapMemo`): `map_cones_reused` is 0 on a cold run or when the
-/// scratch carries no memo, and the counters never affect the mapped
-/// result — splices are bit-identical by construction.  The `t1_*` and
-/// `stage_spliced` fields are always 0/false: T1 detection and stage
-/// assignment always run cold.  They stay only so existing readers of the
-/// struct keep compiling.
+/// Ignored; kept for perfbench.  Every run is cold, so all fields are
+/// always 0/false.
 struct ReuseCounters {
-  std::uint32_t map_cones_total = 0;   // AND cones seen by the mapper
-  std::uint32_t map_cones_reused = 0;  // … spliced from the memo
+  std::uint32_t map_cones_total = 0;   // always 0
+  std::uint32_t map_cones_reused = 0;  // always 0
   std::uint32_t t1_cones_total = 0;    // always 0
   std::uint32_t t1_cones_reused = 0;   // always 0
   bool t1_exact = false;               // always false
@@ -124,13 +118,6 @@ struct FlowScratch {
   DetectScratch t1_detect;  // T1DetectPass grouping/MFFC flat storage
   sat::Solver solver;       // SatCecPass clause arena
   sfq::SimScratch sim;      // SimEquivPass stimulus buffer
-
-  /// The mapper's cone memo (sfq/mapper.hpp), or null for always-cold
-  /// runs.  Unlike the fields above this is a non-owning hook: `FlowEngine`
-  /// points it at its own `MapMemo` (see `set_incremental`), and the
-  /// per-worker scratches of `for_each_with_scratch` leave it null — the
-  /// memo is single-threaded state.
-  sfq::MapMemo* memo = nullptr;
 
   /// Ignored; kept for perfbench.  A run is serial.
   std::vector<sat::Solver> cec_solvers;
@@ -154,11 +141,7 @@ struct EngineResult {
   FlowStats stats;
   StageTimes times;
   Diagnostics diagnostics;
-  /// Incremental-mapping reuse counters.  The totals are populated on
-  /// every executed run (cold runs report N total / 0 reused, so hit rates
-  /// accumulated over mixed runs stay meaningful); results decoded from a
-  /// serve cache carry all zeros — the codec does not persist them.
-  ReuseCounters reuse;
+  ReuseCounters reuse;  // Ignored; kept for perfbench.  Always zero.
   std::string cec = "skipped";  // SatCecPass verdict when the pass ran
 };
 
@@ -170,7 +153,9 @@ struct FlowContext : EngineResult {
   // Inputs, set by the engine before the first pass.
   const Aig* aig = nullptr;
   FlowParams params;
-  FlowScratch* scratch = nullptr;  // may be null: passes fall back to locals
+  /// Never null inside a pass: `FlowEngine` points it at the engine's or a
+  /// worker's scratch before the first pass runs.
+  FlowScratch* scratch = nullptr;
 
   // Intermediate state the result does not carry.
   bool has_mapped = false;
@@ -339,15 +324,8 @@ class FlowEngine {
   const Pipeline& pipeline() const { return pipeline_; }
   void set_pipeline(Pipeline pipeline);
 
-  /// Cone-level incremental mapping across this engine's runs (default on):
-  /// consecutive `run`s splice the mapper's per-cone cut sets and choices
-  /// from the previous run where structural digests match, which makes
-  /// re-mapping after a small edit cheap.  The later passes always run
-  /// cold.  Results are always bit-identical to cold runs;
-  /// `EngineResult::reuse` reports how much was spliced.  Turning it off
-  /// drops the retained store.
-  void set_incremental(bool enabled);
-  bool incremental() const { return scratch_.memo != nullptr; }
+  /// Ignored; kept for perfbench.  Every run is cold.
+  void set_incremental(bool /*enabled*/) {}
 
   /// Ignored; kept for perfbench.  A run is serial, and `run_many` takes
   /// its worker count as an argument.
@@ -358,8 +336,8 @@ class FlowEngine {
 
   /// Deterministic batched execution: maps every AIG with `num_threads`
   /// workers (clamped to [1, aigs.size()]), one `FlowScratch` per worker.
-  /// A single worker (or a single AIG) runs on this engine's own scratch,
-  /// cone memo included.  Results are index-aligned with `aigs` and
+  /// A single worker (or a single AIG) runs on this engine's own scratch.
+  /// Results are index-aligned with `aigs` and
   /// identical to sequential execution regardless of the thread count.  The
   /// first exception thrown by a worker (contract violation) is rethrown on
   /// the calling thread.
@@ -377,7 +355,6 @@ class FlowEngine {
 
   Pipeline pipeline_;
   FlowScratch scratch_;
-  std::unique_ptr<sfq::MapMemo> memo_;  // scratch_.memo points here when on
 };
 
 }  // namespace t1map::t1

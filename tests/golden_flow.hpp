@@ -1,8 +1,8 @@
 /// \file golden_flow.hpp
 /// \brief The seed-captured Table-I golden statistics, shared by
 /// `test_flow_regression` (a fresh, cold `FlowEngine` per row) and
-/// `test_flow_engine` (one engine across all rows, scratch and cone memo
-/// reused) — both must reproduce these numbers bit-for-bit.
+/// `test_flow_engine` (one engine across all rows, scratch reused) — both
+/// must reproduce these numbers bit-for-bit.
 
 #pragma once
 

@@ -226,7 +226,6 @@ TEST(FlowEngine, FailedRunReturnsStatusDiagnosticAndPartialResult) {
   EXPECT_GT(r.materialized.netlist.num_nodes(), 0u);
   EXPECT_GT(r.stats.dffs, 0);
   EXPECT_EQ(r.stats.t1_used, 15);
-  EXPECT_GT(r.reuse.map_cones_total, 0u);
   EXPECT_GT(r.times.total_wall, 0.0);
   EXPECT_EQ(r.cec, "skipped");
   EXPECT_FALSE(trailing_ran);

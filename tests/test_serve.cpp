@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <set>
 #include <sstream>
 #include <string>
@@ -44,6 +45,19 @@ TEST(AigHasher, StableAcrossRunsAndHashers) {
   EXPECT_EQ(d1, d2);
   EXPECT_EQ(d1, d3);
   EXPECT_EQ(d1.hex().size(), 32u);
+}
+
+// Persisted `--cache-dir` entries are keyed on these bits: a change to the
+// node hashing, the lane seeds or `cache_key` orphans every disk cache.
+TEST(AigHasher, DigestBitsArePinned) {
+  const serve::Digest adder16 = serve::hash_aig(gen::make_named("adder16"));
+  EXPECT_EQ(adder16.hex(), "081fc6a0e163720f3931a32ffdf32a3f");
+  EXPECT_EQ(serve::hash_aig(gen::make_named("mul8")).hex(),
+            "898661bfc3bc05315974b0e5f4092ea6");
+  const serve::CacheKey key = serve::cache_key(
+      adder16, t1::FlowParams{}, t1::Pipeline::default_flow().spec());
+  EXPECT_EQ(key.hi, 0x0fa2b99cd431eb1cull);
+  EXPECT_EQ(key.lo, 0x7b16347ff39ae8b0ull);
 }
 
 TEST(AigHasher, InvariantUnderNodeRenumbering) {
@@ -460,6 +474,51 @@ TEST(Server, CecFieldIsPartOfTheCacheKey) {
       EXPECT_EQ(r.at("cached").as_bool(), i > 0) << lines[i];
     }
   }
+}
+
+// The benchmark's serve workload reads these `stats` keys; the six
+// `incremental` ones are inert (every run is cold) but must stay present.
+TEST(Server, StatsCarryTheBenchmarkCounterKeys) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "t1map_stats_contract";
+  std::filesystem::remove_all(dir);
+  serve::ServeConfig config = fast_config();
+  config.cache_dir = dir.string();
+  config.batch_size = 1;  // the repeat is a plain memory hit
+  const std::vector<std::string> lines = serve_script(
+      "{\"id\":1,\"gen\":\"adder16\"}\n"
+      "{\"id\":2,\"gen\":\"adder16\"}\n"
+      "{\"id\":3,\"cmd\":\"stats\"}\n",
+      config);
+  std::filesystem::remove_all(dir);
+  ASSERT_EQ(lines.size(), 3u);
+  const io::Json serve_block = io::Json::parse(lines[2]).at("serve");
+  const io::Json& cache = serve_block.at("cache");
+  EXPECT_EQ(cache.at("hits").as_number(), 1) << lines[2];
+  EXPECT_EQ(cache.at("misses").as_number(), 1) << lines[2];
+  const io::Json& tiers = cache.at("tiers");
+  EXPECT_EQ(tiers.at(0).at("hits").as_number(), 1) << lines[2];
+  EXPECT_EQ(tiers.at(1).at("hits").as_number(), 0) << lines[2];
+  const io::Json& inc = serve_block.at("incremental");
+  EXPECT_EQ(inc.members().size(), 6u) << lines[2];
+  for (const char* key :
+       {"map_cones_total", "map_cones_reused", "t1_cones_total",
+        "t1_cones_reused", "t1_exact_hits", "stage_splice_hits"}) {
+    EXPECT_EQ(inc.at(key).as_number(), 0) << key;
+  }
+
+  // A computed run reports no reuse, also when the engine ran the same
+  // design just before.
+  t1::FlowEngine engine;
+  const Aig aig = gen::make_named("adder16");
+  (void)engine.run(aig);
+  const t1::ReuseCounters r = engine.run(aig).reuse;
+  EXPECT_EQ(r.map_cones_total, 0u);
+  EXPECT_EQ(r.map_cones_reused, 0u);
+  EXPECT_EQ(r.t1_cones_total, 0u);
+  EXPECT_EQ(r.t1_cones_reused, 0u);
+  EXPECT_FALSE(r.t1_exact);
+  EXPECT_FALSE(r.stage_spliced);
 }
 
 TEST(Server, ProtocolOrderingHitsAndErrors) {
