@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Serve-mode smoke: drive `t1map --serve` with a JSONL script of mixed
 generator/BLIF jobs (with repeats) and assert response ordering, cache
-hit/miss counters, and repeat-determinism of the statistics.
+hit/miss counters (each flow job counts exactly one hit or miss), and
+repeat-determinism of the statistics.
 
 Two transports:
 
@@ -13,7 +14,7 @@ Two transports:
       Unix-socket mode with a persistent --cache-dir.  Runs the same jobs,
       then SIGTERMs the server mid-connection (graceful drain), restarts it
       on the same cache directory, and asserts every job is served as a
-      warm bit-identical disk hit.
+      warm disk hit with the cold response's stats and verdict.
 """
 import json
 import os
@@ -54,6 +55,12 @@ def check_flow_responses(flows, jobs):
     assert flows[1]["cec"] == "skipped", flows[1]
 
 
+def check_one_lookup_per_job(cache, jobs):
+    # In-batch repeats (--serve-batch > 1) fold onto their first miss and
+    # must still count one lookup each, not a miss and then a hit.
+    assert cache["hits"] + cache["misses"] == len(jobs), cache
+
+
 def tier(stats, name):
     matches = [t for t in stats["cache"]["tiers"] if t["name"] == name]
     assert len(matches) == 1, stats["cache"]["tiers"]
@@ -75,6 +82,7 @@ def run_stream(t1map, extra):
     # 4 unique (circuit, config) keys; 3 repeats served from the cache.
     assert cache["insertions"] == 4, cache
     assert cache["hits"] == 3, cache
+    check_one_lookup_per_job(cache, JOBS)
     assert cache["entries"] == 4, cache
     assert stats["errors"] == 0, stats
     print("serve smoke ok (stream):", json.dumps(stats))
@@ -136,6 +144,7 @@ def run_socket(t1map, extra):
         stats = client.ask([STATS])[0]["serve"]
         assert stats["cache"]["insertions"] == 4, stats["cache"]
         assert stats["cache"]["hits"] == 3, stats["cache"]
+        check_one_lookup_per_job(stats["cache"], JOBS)
         assert tier(stats, "memory")["entries"] == 4, stats["cache"]
         disk = tier(stats, "disk")
         assert disk["entries"] == 4, disk
@@ -152,7 +161,7 @@ def run_socket(t1map, extra):
             proc.kill()
             proc.wait()
 
-    # --- Warm run: same cache dir, every job is a bit-identical disk hit. ---
+    # --- Warm run: same cache dir, every job is a disk or memory hit. ---
     proc = start_server(t1map, sock_path, cache_dir, extra)
     try:
         client = SocketClient(sock_path)
@@ -173,6 +182,7 @@ def run_socket(t1map, extra):
         assert tier(stats, "memory")["hits"] == 3, stats   # repeats, promoted
         assert tier(stats, "memory")["entries"] == 4, stats
         assert stats["cache"]["hits"] == 7, stats["cache"]
+        check_one_lookup_per_job(stats["cache"], JOBS)
         assert stats["cache"]["insertions"] == 0, stats["cache"]
         assert stats["errors"] == 0, stats
 

@@ -1,16 +1,19 @@
 /// \file cache_key.hpp
-/// \brief What the serve cache is keyed on, and what its tiers count.
+/// \brief What the serve cache is keyed on, what it keeps, and what its
+/// tiers count.
 ///
 /// A key names one mapping problem: the source AIG's structural digest
 /// (aig_hash.hpp) x every `FlowParams` field that changes a result
 /// (`t1::params_fingerprint`) x the pass pipeline (`Pipeline::spec()`).
 /// `cache_key` is the one place that combines them; the server and the
-/// cache tests both derive their keys through it.
+/// cache tests both derive their keys through it.  The value is a
+/// `ServedResult`: what a served job's response reads, nothing more.
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 #include "serve/aig_hash.hpp"
@@ -54,6 +57,14 @@ inline CacheKey cache_key(const Digest& digest, const t1::FlowParams& params,
   return CacheKey{digest.hi ^ config,
                   digest.lo ^ (config * 0x9E3779B97F4A7C15ull)};
 }
+
+/// The cached value of every tier: the paper's Table-I statistics and the
+/// CEC verdict of one successful run.  A hit answers with exactly these
+/// fields of the cold response; a failed run has no `ServedResult`.
+struct ServedResult {
+  t1::FlowStats stats;
+  std::string cec = "skipped";  // skipped|equivalent|not_equivalent|unknown
+};
 
 /// Point-in-time counter snapshot of one tier or of the tiered pair, so
 /// the `stats` command and the CLI summary read every level the same way.

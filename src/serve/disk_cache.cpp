@@ -235,7 +235,7 @@ void DiskCache::recover_index() {
   recovered_ = index_.size();
 }
 
-bool DiskCache::lookup(const CacheKey& key, t1::EngineResult& out) {
+bool DiskCache::lookup(const CacheKey& key, ServedResult& out) {
   Loc loc;
   {
     const std::lock_guard<std::mutex> lock(mu_);
@@ -279,13 +279,7 @@ bool DiskCache::lookup(const CacheKey& key, t1::EngineResult& out) {
   return true;
 }
 
-void DiskCache::store(const CacheKey& key, const t1::EngineResult& result) {
-  if (!result.ok()) return;  // failed runs carry partial state
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (index_.count(key) != 0) return;  // first write wins; results agree
-  }
-
+void DiskCache::store(const CacheKey& key, const ServedResult& result) {
   // Serialize outside the lock; append under it.
   const std::string payload = encode_result(result);
   std::string record(kRecordHeaderBytes, '\0');
@@ -297,7 +291,7 @@ void DiskCache::store(const CacheKey& key, const t1::EngineResult& result) {
   record += payload;
 
   const std::lock_guard<std::mutex> lock(mu_);
-  if (index_.count(key) != 0) return;  // raced with another store
+  if (index_.count(key) != 0) return;  // first write wins; results agree
   if (config_.max_bytes != 0 &&
       records_size_ + record.size() > config_.max_bytes) {
     rejected_.fetch_add(1, std::memory_order_relaxed);

@@ -1,12 +1,12 @@
 /// \file disk_cache.hpp
-/// \brief Disk-backed, log-structured flow-result store — the persistent
-/// second cache tier behind `--cache-dir`.
+/// \brief Disk-backed, log-structured store of served results — the
+/// persistent second cache tier behind `--cache-dir`.
 ///
 /// Layout (two data files in the cache directory, plus an empty `lock`
 /// file whose exclusive `flock` the open cache holds):
 ///
 ///   records.t1c   append-only record log.  8-byte header (magic,
-///                 version), then back-to-back records:
+///                 `kResultCodecVersion`), then back-to-back records:
 ///                 [magic u32][payload_len u32][key.hi u64][key.lo u64]
 ///                 [checksum u64][payload bytes]
 ///                 where the payload is `encode_result` output and the
@@ -25,8 +25,11 @@
 /// verified on every lookup; a corrupt record is dropped from the index
 /// and reported as a miss — the cache heals rather than serves garbage.
 ///
-/// Keys are platform-stable `CacheKey`s (cache_key.hpp), so a cache
-/// directory written by one build/host warm-starts any other.
+/// Keys are platform-stable `CacheKey`s (cache_key.hpp) and payloads are
+/// `ServedResult`s, so a cache directory written by one host warm-starts
+/// any other build of the same format version.  A directory of another
+/// version (earlier builds wrote version 1, whole flow results) is refused
+/// at open and must be removed.
 ///
 /// Thread safety: the index map and the append path are mutex-guarded;
 /// record reads go through `pread` on immutable log regions, so concurrent
@@ -70,9 +73,9 @@ class DiskCache {
   DiskCache& operator=(const DiskCache&) = delete;
 
   /// Fills `out` and returns true when `key` has an intact record.
-  bool lookup(const CacheKey& key, t1::EngineResult& out);
-  /// Appends a successful result (failed runs are ignored).
-  void store(const CacheKey& key, const t1::EngineResult& result);
+  bool lookup(const CacheKey& key, ServedResult& out);
+  /// Appends `result` unless `key` is already stored (first write wins).
+  void store(const CacheKey& key, const ServedResult& result);
   CacheStats stats() const;
 
   /// Entries recovered by the warm-start scan of the boot.

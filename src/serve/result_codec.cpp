@@ -1,7 +1,5 @@
 #include "serve/result_codec.hpp"
 
-#include <array>
-
 #include "common/hash_mix.hpp"
 #include "common/require.hpp"
 
@@ -81,127 +79,10 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-// --- Netlist -----------------------------------------------------------------
-
-void put_netlist(std::string& out, const sfq::Netlist& ntk) {
-  put_u32(out, ntk.num_nodes());
-  for (std::uint32_t id = 0; id < ntk.num_nodes(); ++id) {
-    const sfq::Netlist::Node& node = ntk.node(id);
-    put_u8(out, static_cast<std::uint8_t>(node.kind));
-    put_u8(out, node.nfanin);
-    for (int i = 0; i < node.nfanin; ++i) put_u32(out, node.fanin[i]);
-  }
-  put_u32(out, ntk.num_pis());
-  for (std::uint32_t i = 0; i < ntk.num_pis(); ++i) {
-    put_string(out, ntk.pi_name(i));
-  }
-  put_u32(out, ntk.num_pos());
-  for (const sfq::Netlist::Po& po : ntk.pos()) {
-    put_u32(out, po.driver);
-    put_string(out, po.name);
-  }
-}
-
-/// Replays the node stream through the construction API.  Node ids are
-/// assigned sequentially by every `add_*`, so an in-order replay
-/// reproduces the original id space exactly.
-sfq::Netlist get_netlist(Reader& r) {
-  const std::uint32_t num_nodes = r.u32();
-  struct RawNode {
-    sfq::CellKind kind;
-    std::array<std::uint32_t, 3> fanin;
-    std::uint8_t nfanin;
-  };
-  std::vector<RawNode> raw(num_nodes);
-  std::uint32_t num_pis_seen = 0;
-  for (RawNode& node : raw) {
-    const std::uint8_t kind = r.u8();
-    T1MAP_REQUIRE(kind < sfq::kNumCellKinds, "bad cell kind in payload");
-    node.kind = static_cast<sfq::CellKind>(kind);
-    node.nfanin = r.u8();
-    T1MAP_REQUIRE(node.nfanin <= 3, "bad fanin count in payload");
-    for (int i = 0; i < node.nfanin; ++i) node.fanin[i] = r.u32();
-    num_pis_seen += node.kind == sfq::CellKind::kPi;
-  }
-  const std::uint32_t num_pis = r.u32();
-  T1MAP_REQUIRE(num_pis == num_pis_seen, "PI name count mismatch");
-  std::vector<std::string> pi_names(num_pis);
-  for (std::string& name : pi_names) name = r.str();
-
-  sfq::Netlist ntk;
-  std::uint32_t next_pi = 0;
-  for (const RawNode& node : raw) {
-    switch (node.kind) {
-      case sfq::CellKind::kPi:
-        ntk.add_pi(pi_names[next_pi++]);
-        break;
-      case sfq::CellKind::kConst0:
-        ntk.add_const(false);
-        break;
-      case sfq::CellKind::kConst1:
-        ntk.add_const(true);
-        break;
-      case sfq::CellKind::kT1:
-        T1MAP_REQUIRE(node.nfanin == 3, "T1 core needs three fanins");
-        ntk.add_t1(node.fanin[0], node.fanin[1], node.fanin[2]);
-        break;
-      case sfq::CellKind::kT1TapS:
-      case sfq::CellKind::kT1TapC:
-      case sfq::CellKind::kT1TapQ:
-      case sfq::CellKind::kT1TapCn:
-      case sfq::CellKind::kT1TapQn:
-        T1MAP_REQUIRE(node.nfanin == 1, "tap needs one fanin");
-        ntk.add_t1_tap(node.fanin[0], node.kind);
-        break;
-      default:
-        ntk.add_cell(node.kind, std::span<const std::uint32_t>(
-                                    node.fanin.data(), node.nfanin));
-        break;
-    }
-  }
-  const std::uint32_t num_pos = r.u32();
-  for (std::uint32_t i = 0; i < num_pos; ++i) {
-    const std::uint32_t driver = r.u32();
-    ntk.add_po(driver, r.str());
-  }
-  return ntk;
-}
-
-// --- Stage assignment / materialization --------------------------------------
-
-void put_materialized(std::string& out, const retime::MaterializeResult& m) {
-  put_netlist(out, m.netlist);
-  put_i32(out, m.stages.num_phases);
-  put_i32(out, m.stages.sigma_po);
-  put_u32(out, static_cast<std::uint32_t>(m.stages.sigma.size()));
-  for (const int s : m.stages.sigma) put_i32(out, s);
-  put_u32(out, static_cast<std::uint32_t>(m.node_map.size()));
-  for (const std::uint32_t id : m.node_map) put_u32(out, id);
-  put_i64(out, m.num_dffs);
-}
-
-retime::MaterializeResult get_materialized(Reader& r) {
-  retime::MaterializeResult m;
-  m.netlist = get_netlist(r);
-  m.stages.num_phases = r.i32();
-  m.stages.sigma_po = r.i32();
-  m.stages.sigma.resize(r.u32());
-  for (int& s : m.stages.sigma) s = r.i32();
-  m.node_map.resize(r.u32());
-  for (std::uint32_t& id : m.node_map) id = r.u32();
-  m.num_dffs = r.i64();
-  return m;
-}
-
 }  // namespace
 
-std::string encode_result(const t1::EngineResult& result) {
+std::string encode_result(const ServedResult& result) {
   std::string out;
-  out.reserve(256);
-  put_u8(out, static_cast<std::uint8_t>(result.status));
-  put_u8(out, result.has_materialized ? 1 : 0);
-  put_string(out, result.cec);
-
   const t1::FlowStats& s = result.stats;
   put_i64(out, s.dffs);
   put_i64(out, s.area_jj);
@@ -212,31 +93,13 @@ std::string encode_result(const t1::EngineResult& result) {
   put_i64(out, s.logic_cells);
   put_i64(out, s.splitters);
   put_i32(out, s.num_stages);
-
-  put_netlist(out, result.mapped);
-  if (result.has_materialized) put_materialized(out, result.materialized);
-
-  const auto& diags = result.diagnostics.entries();
-  put_u32(out, static_cast<std::uint32_t>(diags.size()));
-  for (const t1::Diagnostic& d : diags) {
-    put_u8(out, static_cast<std::uint8_t>(d.severity));
-    put_string(out, d.pass);
-    put_string(out, d.message);
-  }
+  put_string(out, result.cec);
   return out;
 }
 
-t1::EngineResult decode_result(std::string_view bytes) {
+ServedResult decode_result(std::string_view bytes) {
   Reader r(bytes);
-  t1::EngineResult result;
-  const std::uint8_t status = r.u8();
-  T1MAP_REQUIRE(status <= static_cast<std::uint8_t>(
-                              t1::FlowStatus::kNotEquivalent),
-                "bad flow status in payload");
-  result.status = static_cast<t1::FlowStatus>(status);
-  result.has_materialized = r.u8() != 0;
-  result.cec = r.str();
-
+  ServedResult result;
   t1::FlowStats& s = result.stats;
   s.dffs = r.i64();
   s.area_jj = r.i64();
@@ -247,20 +110,10 @@ t1::EngineResult decode_result(std::string_view bytes) {
   s.logic_cells = r.i64();
   s.splitters = r.i64();
   s.num_stages = r.i32();
-
-  result.mapped = get_netlist(r);
-  if (result.has_materialized) result.materialized = get_materialized(r);
-
-  const std::uint32_t num_diags = r.u32();
-  for (std::uint32_t i = 0; i < num_diags; ++i) {
-    const std::uint8_t severity = r.u8();
-    T1MAP_REQUIRE(severity <= static_cast<std::uint8_t>(t1::Severity::kError),
-                  "bad diagnostic severity in payload");
-    std::string pass = r.str();
-    std::string message = r.str();
-    result.diagnostics.add(static_cast<t1::Severity>(severity),
-                           std::move(pass), std::move(message));
-  }
+  result.cec = r.str();
+  T1MAP_REQUIRE(result.cec == "skipped" || result.cec == "equivalent" ||
+                    result.cec == "not_equivalent" || result.cec == "unknown",
+                "bad CEC verdict in payload");
   T1MAP_REQUIRE(r.done(), "trailing bytes after result payload");
   return result;
 }

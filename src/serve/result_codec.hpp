@@ -1,5 +1,5 @@
 /// \file result_codec.hpp
-/// \brief Binary serialization of `t1::EngineResult` — the disk tier's
+/// \brief Binary serialization of `serve::ServedResult` — the disk tier's
 /// record payload format.
 ///
 /// The encoding is platform-stable by the same rules as the cache keys:
@@ -8,13 +8,9 @@
 /// on any other, which is what lets a `--cache-dir` be rsync'd between
 /// hosts or survive a toolchain upgrade.
 ///
-/// Netlists are encoded as their construction replay (node stream in id
-/// order, then PI names, then POs) and rebuilt through the public
-/// `sfq::Netlist` API, so every structural invariant is re-validated on
-/// decode — a corrupt payload fails as `ContractError`, never as a
-/// malformed in-memory object.  Stage times are deliberately *not*
-/// persisted: a cached result costs no flow time, so `decode_result`
-/// returns them zeroed (matching the in-memory `FlowCache` contract).
+/// A payload is the nine `t1::FlowStats` fields followed by the CEC
+/// verdict.  Decoding builds no netlist and trusts no length: a truncated,
+/// padded or otherwise malformed payload fails as `ContractError`.
 
 #pragma once
 
@@ -22,20 +18,22 @@
 #include <string>
 #include <string_view>
 
-#include "t1/flow_engine.hpp"
+#include "serve/cache_key.hpp"
 
 namespace t1map::serve {
 
 /// Bumped whenever the payload layout changes; part of the record header,
 /// so mixed-version cache directories fail loudly at open, not at decode.
-constexpr std::uint32_t kResultCodecVersion = 1;
+/// Version 1 carried whole flow results (netlists included).
+constexpr std::uint32_t kResultCodecVersion = 2;
 
-/// Serializes `result` (stage times excluded) into a byte string.
-std::string encode_result(const t1::EngineResult& result);
+/// Serializes `result` into a byte string.
+std::string encode_result(const ServedResult& result);
 
 /// Rebuilds a result from `encode_result` bytes.  Throws `ContractError`
-/// on any truncation, trailing garbage, or structural violation.
-t1::EngineResult decode_result(std::string_view bytes);
+/// on any truncation, trailing garbage, or a verdict that is not one of
+/// `skipped|equivalent|not_equivalent|unknown`.
+ServedResult decode_result(std::string_view bytes);
 
 /// Platform-stable 64-bit FNV-1a + finalizer over a payload — the record
 /// checksum of the disk tier.

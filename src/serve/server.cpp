@@ -75,8 +75,13 @@ struct Server::Job {
   std::string pipeline;  // Pipeline::spec() of the passes the job runs
   CacheKey key;
   std::uint64_t group = 0;  // configuration fingerprint (grouping key)
+  // Outcome.  A hit fills only `served`; a computed job also sets `ms`,
+  // and a failed run sets `status` and `failure` instead of `served`.
   bool cached = false;
-  t1::EngineResult result;
+  t1::FlowStatus status = t1::FlowStatus::kOk;
+  ServedResult served;
+  std::string failure;  // first error diagnostic of a failed run
+  double ms = 0.0;      // flow compute time; 0 on a hit
 };
 
 /// Bookkeeping for one connection's session thread, shared with the
@@ -209,15 +214,15 @@ void Server::process_batch(t1::FlowEngine& engine, std::vector<Job>& batch) {
         continue;
       }
       members.push_back(i);
-      if (cache_.lookup(job.key, job.result)) {
-        job.cached = true;
-        continue;
-      }
+      // A repeat of a pending miss is not looked up yet: its one counted
+      // lookup is the re-read after the compute.
       const auto rep = std::find_if(
           misses.begin(), misses.end(),
           [&](std::size_t m) { return batch[m].key == job.key; });
       if (rep != misses.end()) {
         aliases.emplace_back(i, *rep);
+      } else if (cache_.lookup(job.key, job.served)) {
+        job.cached = true;
       } else {
         misses.push_back(i);
       }
@@ -228,23 +233,34 @@ void Server::process_batch(t1::FlowEngine& engine, std::vector<Job>& batch) {
       std::vector<const Aig*> aigs;
       for (const std::size_t m : misses) aigs.push_back(&batch[m].aig);
       engine.set_pipeline(t1::Pipeline::parse(first.pipeline));
-      std::vector<t1::EngineResult> results =
+      const std::vector<t1::EngineResult> results =
           engine.run_many(aigs, first.params, config_.threads);
       for (std::size_t k = 0; k < misses.size(); ++k) {
         Job& job = batch[misses[k]];
-        job.result = std::move(results[k]);
-        // Only ok-results are stored: a failed run carries partial state
-        // that must not masquerade as a mapped design on a later hit.
-        if (!job.result.ok()) continue;
-        cache_.store(job.key, job.result);
+        const t1::EngineResult& result = results[k];
+        job.status = result.status;
+        job.ms = stage_times_ms(result.times);
+        // Only ok-results are stored: a failed run has no stats to serve.
+        if (!result.ok()) {
+          job.failure = result.diagnostics.first_error();
+          continue;
+        }
+        job.served = ServedResult{result.stats, result.cec};
+        cache_.store(job.key, job.served);
       }
     }
     // Aliases re-read through the cache so hit counters stay truthful; a
     // failed representative (never stored) is copied directly instead.
     for (const auto& [i, rep] : aliases) {
       Job& job = batch[i];
-      job.cached = cache_.lookup(job.key, job.result);
-      if (!job.cached) job.result = batch[rep].result;
+      job.cached = cache_.lookup(job.key, job.served);
+      if (!job.cached) {
+        const Job& from = batch[rep];
+        job.status = from.status;
+        job.served = from.served;
+        job.failure = from.failure;
+        job.ms = from.ms;
+      }
     }
 
     const double dispatch_ms =
@@ -317,20 +333,20 @@ void Server::write_response(Connection& conn, const Job& job) {
   } else if (job.cmd == "quit") {
     w.key("ok").value(true).key("quit").value(true);
     w.end_object();
-  } else if (!job.result.ok()) {
+  } else if (job.status != t1::FlowStatus::kOk) {
     w.key("ok").value(false).key("design").value(job.design);
-    w.key("status").value(t1::flow_status_name(job.result.status));
-    w.key("error").value(job.result.diagnostics.first_error());
+    w.key("status").value(t1::flow_status_name(job.status));
+    w.key("error").value(job.failure);
     w.end_object();
   } else {
     w.key("ok").value(true).key("design").value(job.design);
     w.key("cached").value(job.cached);
-    w.key("status").value("ok").key("cec").value(job.result.cec);
+    w.key("status").value("ok").key("cec").value(job.served.cec);
     w.key("input").value(aig_input_json(job.aig, /*with_depth=*/false));
-    w.key("stats").value(flow_stats_json(job.result.stats));
-    // Flow compute time; a cache hit costs none (stored times are zeroed),
-    // so this is the only response field that varies between sessions.
-    w.key("ms").value(stage_times_ms(job.result.times));
+    w.key("stats").value(flow_stats_json(job.served.stats));
+    // Flow compute time; a cache hit costs none, so this is the only
+    // response field that varies between sessions.
+    w.key("ms").value(job.ms);
     w.end_object();
   }
   os << '\n';
@@ -472,7 +488,7 @@ std::string Server::summary() const {
   std::ostringstream os;
   os << n.requests << " requests in " << n.batches << " batches ("
      << n.errors << " errors), cache: " << c.hits << " hits / " << c.misses
-     << " misses, " << c.entries << " entries, " << c.bytes / 1024 << " KiB";
+     << " misses, " << c.entries << " entries, " << c.bytes << " bytes";
   if (c.evictions > 0) os << ", " << c.evictions << " evictions";
   return os.str();
 }

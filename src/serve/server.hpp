@@ -25,16 +25,19 @@
 /// runs one session thread per connection.  Each session reads requests in
 /// batches (up to `ServeConfig::batch_size` lines), keys them
 /// (`cache_key`: AIG digest x params x pipeline) and groups them by
-/// configuration.  Per group it owns the whole cache path: look every job
-/// up, fold repeats within the batch onto their first miss, run only the
-/// misses through `FlowEngine::run_many` on `threads` workers, store the
-/// ok-results, then serve the repeats from the cache.  Sessions share one
-/// `TieredCache` (in-memory `FlowCache`, optionally backed by a persistent
-/// `DiskCache` under `cache_dir`), so any client's cold run is every
-/// client's warm hit — across server restarts when the disk tier is on.
-/// Every miss runs the flow cold.  Everything except the timing fields is
-/// deterministic: a given request script produces byte-identical responses
-/// regardless of worker count or transport.
+/// configuration.  Per group it owns the whole cache path: fold repeats
+/// within the batch onto their first miss, look every other job up, run
+/// only the misses through `FlowEngine::run_many` on `threads` workers,
+/// store the ok-results' `ServedResult`s (Table-I stats + CEC verdict),
+/// then serve the repeats from the cache — so each flow job counts exactly
+/// one cache hit or miss.  Sessions share one `TieredCache` (in-memory
+/// `FlowCache`, optionally backed by a persistent `DiskCache` under
+/// `cache_dir`), so any client's cold run is every client's warm hit —
+/// across server restarts when the disk tier is on.  A hit returns the
+/// cold response's stats and verdict with `ms` 0; every miss runs the flow
+/// cold.  Everything except the timing fields is deterministic: a given
+/// request script produces byte-identical responses regardless of worker
+/// count or transport.
 ///
 /// Shutdown: a `quit` command (or `Transport::shutdown()`, e.g. from a
 /// SIGTERM handler) stops the accept loop and asks every session to

@@ -12,7 +12,7 @@ TieredCache::TieredCache(CacheConfig memory, std::string disk_dir)
   disk_ = std::make_unique<DiskCache>(std::move(disk));
 }
 
-bool TieredCache::lookup(const CacheKey& key, t1::EngineResult& out) {
+bool TieredCache::lookup(const CacheKey& key, ServedResult& out) {
   bool hit = memory_.lookup(key, out);
   if (!hit && disk_ != nullptr && disk_->lookup(key, out)) {
     // Promote so the next lookup stops at the memory tier.
@@ -23,8 +23,7 @@ bool TieredCache::lookup(const CacheKey& key, t1::EngineResult& out) {
   return hit;
 }
 
-void TieredCache::store(const CacheKey& key, const t1::EngineResult& result) {
-  if (!result.ok()) return;  // tiers reject these too; don't count them
+void TieredCache::store(const CacheKey& key, const ServedResult& result) {
   insertions_.fetch_add(1, std::memory_order_relaxed);
   memory_.store(key, result);
   if (disk_ != nullptr) disk_->store(key, result);

@@ -1,6 +1,7 @@
 /// \file tiered_cache.hpp
 /// \brief The serving layer's result cache: an in-memory `FlowCache` in
-/// front of an optional persistent `DiskCache`.
+/// front of an optional persistent `DiskCache`, both holding
+/// `ServedResult`s (Table-I statistics + CEC verdict).
 ///
 ///   * `lookup` tries memory, then disk; a disk hit is *promoted* — stored
 ///     into memory — so a result recovered from disk after a restart pays
@@ -25,7 +26,6 @@
 #include "serve/cache_key.hpp"
 #include "serve/disk_cache.hpp"
 #include "serve/flow_cache.hpp"
-#include "t1/flow_engine.hpp"
 
 namespace t1map::serve {
 
@@ -37,10 +37,9 @@ class TieredCache {
   explicit TieredCache(CacheConfig memory = {}, std::string disk_dir = {});
 
   /// Fills `out` and returns true when `key` is in either tier.
-  bool lookup(const CacheKey& key, t1::EngineResult& out);
-  /// Offers a freshly computed result to both tiers; failed runs are
-  /// stored nowhere and not counted.
-  void store(const CacheKey& key, const t1::EngineResult& result);
+  bool lookup(const CacheKey& key, ServedResult& out);
+  /// Offers a freshly computed result to both tiers.
+  void store(const CacheKey& key, const ServedResult& result);
   CacheStats stats() const;
 
   FlowCache& memory() { return memory_; }

@@ -1,51 +1,40 @@
 // Shared helpers for the serving-layer suites (test_serve,
-// test_disk_cache, test_transport): canonical netlist comparison, deep
-// result equality, and cache-key derivation.
+// test_disk_cache): cold-vs-cached result equality and cache-key
+// derivation.
 
 #pragma once
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 
-#include "io/blif.hpp"
 #include "serve/aig_hash.hpp"
 #include "serve/cache_key.hpp"
 #include "t1/flow_engine.hpp"
 
 namespace t1map::testutil {
 
-/// Byte-exact netlist comparison via the canonical BLIF rendering.
-inline std::string blif_of(const sfq::Netlist& ntk, const std::string& name) {
-  std::ostringstream os;
-  io::write_blif(os, ntk, name);
-  return os.str();
+/// What the server caches for a successful run.
+inline serve::ServedResult served_of(const t1::EngineResult& result) {
+  return serve::ServedResult{result.stats, result.cec};
 }
 
-inline void expect_results_identical(const t1::EngineResult& a,
-                                     const t1::EngineResult& b,
+/// A cached result answers exactly as the cold run `cold` did: the run
+/// succeeded, and the verdict and Table-I stats agree.
+inline void expect_results_identical(const t1::EngineResult& cold,
+                                     const serve::ServedResult& hit,
                                      const std::string& label) {
-  EXPECT_EQ(a.status, b.status) << label;
-  EXPECT_EQ(a.cec, b.cec) << label;
-  EXPECT_EQ(a.stats.area_jj, b.stats.area_jj) << label;
-  EXPECT_EQ(a.stats.dffs, b.stats.dffs) << label;
-  EXPECT_EQ(a.stats.depth_cycles, b.stats.depth_cycles) << label;
-  EXPECT_EQ(a.stats.num_stages, b.stats.num_stages) << label;
-  EXPECT_EQ(a.stats.logic_cells, b.stats.logic_cells) << label;
-  EXPECT_EQ(a.stats.splitters, b.stats.splitters) << label;
-  EXPECT_EQ(a.stats.t1_found, b.stats.t1_found) << label;
-  EXPECT_EQ(a.stats.t1_used, b.stats.t1_used) << label;
-  ASSERT_EQ(a.has_materialized, b.has_materialized) << label;
-  EXPECT_EQ(blif_of(a.mapped, "mapped"), blif_of(b.mapped, "mapped"))
-      << label;
-  if (a.has_materialized) {
-    EXPECT_EQ(blif_of(a.materialized.netlist, "mat"),
-              blif_of(b.materialized.netlist, "mat"))
-        << label;
-    EXPECT_EQ(a.materialized.stages.sigma, b.materialized.stages.sigma)
-        << label;
-  }
+  EXPECT_EQ(cold.status, t1::FlowStatus::kOk) << label;
+  EXPECT_EQ(cold.cec, hit.cec) << label;
+  EXPECT_EQ(cold.stats.area_jj, hit.stats.area_jj) << label;
+  EXPECT_EQ(cold.stats.dffs, hit.stats.dffs) << label;
+  EXPECT_EQ(cold.stats.depth_cycles, hit.stats.depth_cycles) << label;
+  EXPECT_EQ(cold.stats.num_stages, hit.stats.num_stages) << label;
+  EXPECT_EQ(cold.stats.logic_cells, hit.stats.logic_cells) << label;
+  EXPECT_EQ(cold.stats.splitters, hit.stats.splitters) << label;
+  EXPECT_EQ(cold.stats.t1_found, hit.stats.t1_found) << label;
+  EXPECT_EQ(cold.stats.t1_used, hit.stats.t1_used) << label;
+  EXPECT_EQ(cold.stats.t1_cores, hit.stats.t1_cores) << label;
 }
 
 /// The key the server gives `aig` mapped under `params` through `pipeline`

@@ -1,7 +1,8 @@
 // The persistent cache tier: the binary result codec (round-trip,
-// corruption rejection), the log-structured DiskCache (reopen warm
-// start, torn-tail crash recovery, checksum self-healing, capacity
-// rejection, one open cache per directory), and the TieredCache pair
+// corruption and hostile-byte rejection), the log-structured DiskCache
+// (reopen warm start, torn-tail crash recovery, checksum self-healing,
+// capacity rejection, the format-version gate, one open cache per
+// directory), and the TieredCache pair
 // (promotion, write-through, the server's key, concurrent two-tier
 // hammering — the TSan CI leg runs this suite).
 
@@ -30,6 +31,7 @@ namespace {
 
 using testutil::expect_results_identical;
 using testutil::key_of;
+using testutil::served_of;
 
 namespace fs = std::filesystem;
 
@@ -40,8 +42,7 @@ fs::path fresh_dir(const std::string& name) {
   return dir;
 }
 
-/// One real flow result (adder8, t1 config, no verification) — enough
-/// structure to exercise every codec branch with a materialized netlist.
+/// One real flow result (adder8, t1 config, no verification).
 const t1::EngineResult& sample_result() {
   static const t1::EngineResult result = [] {
     t1::FlowEngine engine;
@@ -62,20 +63,17 @@ t1::FlowParams fast_params() {
 
 // --- Result codec ------------------------------------------------------------
 
-TEST(ResultCodec, RoundTripsAFullResultBitIdentically) {
+TEST(ResultCodec, RoundTripsAServedResult) {
   const t1::EngineResult& original = sample_result();
-  const std::string bytes = serve::encode_result(original);
-  const t1::EngineResult decoded = serve::decode_result(bytes);
+  const std::string bytes = serve::encode_result(served_of(original));
+  const serve::ServedResult decoded = serve::decode_result(bytes);
   expect_results_identical(original, decoded, "codec round-trip");
-  // Stage times are not persisted: a cached result costs no flow time.
-  EXPECT_EQ(decoded.times.map, 0.0);
-  EXPECT_EQ(decoded.times.cec, 0.0);
   // The encoding itself is deterministic (same result -> same bytes).
   EXPECT_EQ(bytes, serve::encode_result(decoded));
 }
 
 TEST(ResultCodec, RejectsTruncationAndTrailingGarbage) {
-  const std::string bytes = serve::encode_result(sample_result());
+  const std::string bytes = serve::encode_result(served_of(sample_result()));
   for (const std::size_t cut : {std::size_t{0}, std::size_t{1},
                                 bytes.size() / 2, bytes.size() - 1}) {
     EXPECT_THROW(serve::decode_result(std::string_view(bytes).substr(0, cut)),
@@ -85,8 +83,56 @@ TEST(ResultCodec, RejectsTruncationAndTrailingGarbage) {
   EXPECT_THROW(serve::decode_result(bytes + '\0'), ContractError);
 }
 
+TEST(ResultCodec, RejectsAVerdictOutsideTheFour) {
+  serve::ServedResult result = served_of(sample_result());
+  for (const char* verdict :
+       {"skipped", "equivalent", "not_equivalent", "unknown"}) {
+    result.cec = verdict;
+    EXPECT_EQ(serve::decode_result(serve::encode_result(result)).cec,
+              verdict);
+  }
+  for (const char* verdict : {"", "Equivalent", "equivalent ", "maybe"}) {
+    result.cec = verdict;
+    EXPECT_THROW(serve::decode_result(serve::encode_result(result)),
+                 ContractError)
+        << verdict;
+  }
+}
+
+// Every truncation of a real payload throws ContractError, and every
+// single-byte substitution either decodes to a result with a valid verdict
+// or throws it (the ASan/UBSan leg runs this suite, so a stray read fails
+// there).
+TEST(ResultCodec, SurvivesHostileBytes) {
+  const std::string bytes = serve::encode_result(served_of(sample_result()));
+  const auto decode_or_reject = [](std::string_view payload,
+                                   const std::string& label) {
+    try {
+      const serve::ServedResult r = serve::decode_result(payload);
+      EXPECT_TRUE(r.cec == "skipped" || r.cec == "equivalent" ||
+                  r.cec == "not_equivalent" || r.cec == "unknown")
+          << label << ": " << r.cec;
+    } catch (const ContractError&) {
+    }
+  };
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    EXPECT_THROW(serve::decode_result(std::string_view(bytes).substr(0, cut)),
+                 ContractError)
+        << "truncated at " << cut;
+  }
+  std::string mutated = bytes;
+  for (std::size_t pos = 0; pos < bytes.size(); ++pos) {
+    for (int value = 0; value < 256; ++value) {
+      mutated[pos] = static_cast<char>(value);
+      decode_or_reject(mutated, "byte " + std::to_string(pos) + " = " +
+                                    std::to_string(value));
+    }
+    mutated[pos] = bytes[pos];
+  }
+}
+
 TEST(ResultCodec, ChecksumCoversEveryByte) {
-  const std::string bytes = serve::encode_result(sample_result());
+  const std::string bytes = serve::encode_result(served_of(sample_result()));
   const std::uint64_t reference = serve::payload_checksum(bytes);
   std::string mutated = bytes;
   for (const std::size_t pos : {std::size_t{0}, bytes.size() / 2,
@@ -99,7 +145,7 @@ TEST(ResultCodec, ChecksumCoversEveryByte) {
 
 // --- DiskCache ---------------------------------------------------------------
 
-TEST(DiskCache, ReopenServesBitIdenticalWarmHits) {
+TEST(DiskCache, ReopenServesWarmHits) {
   const fs::path dir = fresh_dir("disk_reopen");
   t1::FlowEngine engine;
   const t1::FlowParams params = fast_params();
@@ -120,11 +166,11 @@ TEST(DiskCache, ReopenServesBitIdenticalWarmHits) {
     serve::DiskCache cache(config);
     EXPECT_EQ(cache.recovered_entries(), 0u);
     for (std::size_t i = 0; i < keys.size(); ++i) {
-      cache.store(keys[i], cold[i]);
+      cache.store(keys[i], served_of(cold[i]));
     }
     EXPECT_EQ(cache.stats().insertions, keys.size());
     // Duplicate store: first write wins, no second record.
-    cache.store(keys[0], cold[0]);
+    cache.store(keys[0], served_of(cold[0]));
     EXPECT_EQ(cache.stats().insertions, keys.size());
   }  // destructor closes the files — a clean "server restart"
 
@@ -134,12 +180,11 @@ TEST(DiskCache, ReopenServesBitIdenticalWarmHits) {
   EXPECT_EQ(reopened.recovered_entries(), keys.size());
   EXPECT_EQ(reopened.recovered_truncated_bytes(), 0u);
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    t1::EngineResult warm;
+    serve::ServedResult warm;
     ASSERT_TRUE(reopened.lookup(keys[i], warm)) << names[i];
     expect_results_identical(cold[i], warm, names[i]);
-    EXPECT_EQ(warm.times.map, 0.0) << names[i];  // times are zeroed
   }
-  t1::EngineResult out;
+  serve::ServedResult out;
   EXPECT_FALSE(reopened.lookup(serve::CacheKey{1, 2}, out));
   fs::remove_all(dir);
 }
@@ -159,7 +204,7 @@ TEST(DiskCache, RecoversFromTornTailWrites) {
     serve::DiskCacheConfig config;
     config.dir = dir.string();
     serve::DiskCache cache(config);
-    cache.store(good_key, good);
+    cache.store(good_key, served_of(good));
     records_committed = fs::file_size(dir / "records.t1c");
     index_committed = fs::file_size(dir / "index.t1c");
   }
@@ -191,7 +236,7 @@ TEST(DiskCache, RecoversFromTornTailWrites) {
   EXPECT_EQ(fs::file_size(dir / "records.t1c"), records_committed);
   EXPECT_EQ(fs::file_size(dir / "index.t1c"), index_committed);
 
-  t1::EngineResult warm;
+  serve::ServedResult warm;
   ASSERT_TRUE(recovered.lookup(good_key, warm));
   expect_results_identical(good, warm, "post-recovery hit");
   // The log is appendable again after truncation.
@@ -199,7 +244,7 @@ TEST(DiskCache, RecoversFromTornTailWrites) {
   const serve::CacheKey other_key = key_of(other_aig, params);
   const t1::EngineResult other = engine.run(other_aig, params);
   ASSERT_TRUE(other.ok());
-  recovered.store(other_key, other);
+  recovered.store(other_key, served_of(other));
   ASSERT_TRUE(recovered.lookup(other_key, warm));
   expect_results_identical(other, warm, "post-recovery store");
   fs::remove_all(dir);
@@ -218,7 +263,7 @@ TEST(DiskCache, CorruptPayloadIsDroppedNotServed) {
   config.dir = dir.string();
   {
     serve::DiskCache cache(config);
-    cache.store(key, result);
+    cache.store(key, served_of(result));
   }
   {
     // Flip one payload byte near the end of the record log.
@@ -233,7 +278,7 @@ TEST(DiskCache, CorruptPayloadIsDroppedNotServed) {
 
   serve::DiskCache cache(config);
   EXPECT_EQ(cache.recovered_entries(), 1u);
-  t1::EngineResult out;
+  serve::ServedResult out;
   EXPECT_FALSE(cache.lookup(key, out));  // checksum fails -> miss, healed
   EXPECT_FALSE(cache.lookup(key, out));  // stays gone
   const serve::CacheStats s = cache.stats();
@@ -241,7 +286,7 @@ TEST(DiskCache, CorruptPayloadIsDroppedNotServed) {
   EXPECT_EQ(s.misses, 2u);
   EXPECT_EQ(s.entries, 0u);
   // The slot is rewritable: a fresh store serves again.
-  cache.store(key, result);
+  cache.store(key, served_of(result));
   ASSERT_TRUE(cache.lookup(key, out));
   expect_results_identical(result, out, "post-heal rewrite");
   fs::remove_all(dir);
@@ -261,14 +306,14 @@ TEST(DiskCache, FullLogRejectsStoresAndCountsThem) {
   serve::DiskCacheConfig config;
   config.dir = dir.string();
   // Room for the first record but not the second.
-  config.max_bytes = 8 + 32 + serve::encode_result(ra).size();
+  config.max_bytes = 8 + 32 + serve::encode_result(served_of(ra)).size();
   serve::DiskCache cache(config);
-  cache.store(key_of(a, params), ra);
-  cache.store(key_of(b, params), rb);  // over budget: rejected
+  cache.store(key_of(a, params), served_of(ra));
+  cache.store(key_of(b, params), served_of(rb));  // over budget: rejected
   const serve::CacheStats s = cache.stats();
   EXPECT_EQ(s.insertions, 1u);
   EXPECT_EQ(s.evictions, 1u);  // the rejected store
-  t1::EngineResult out;
+  serve::ServedResult out;
   EXPECT_TRUE(cache.lookup(key_of(a, params), out));
   EXPECT_FALSE(cache.lookup(key_of(b, params), out));
   fs::remove_all(dir);
@@ -284,6 +329,29 @@ TEST(DiskCache, RejectsForeignAndIncompatibleFiles) {
   serve::DiskCacheConfig config;
   config.dir = dir.string();
   EXPECT_THROW(serve::DiskCache{config}, ContractError);
+  fs::remove_all(dir);
+}
+
+// Earlier builds stamped version 1 and stored whole flow results; such a
+// directory is refused at open with a hint to remove it.
+TEST(DiskCache, RejectsAnOlderFormatVersion) {
+  const fs::path dir = fresh_dir("disk_version");
+  fs::create_directories(dir);
+  {
+    std::ofstream records(dir / "records.t1c", std::ios::binary);
+    const char header[8] = {'R', 'C', '1', 'T', 1, 0, 0, 0};  // "T1CR", v1
+    records.write(header, sizeof header);
+  }
+  serve::DiskCacheConfig config;
+  config.dir = dir.string();
+  try {
+    serve::DiskCache cache(config);
+    ADD_FAILURE() << "a version-1 cache directory opened";
+  } catch (const ContractError& e) {
+    EXPECT_NE(std::string(e.what()).find("remove the directory"),
+              std::string::npos)
+        << e.what();
+  }
   fs::remove_all(dir);
 }
 
@@ -322,7 +390,7 @@ TEST(TieredCache, PromotesDiskHitsIntoMemory) {
     serve::DiskCacheConfig config;
     config.dir = dir.string();
     serve::DiskCache seeder(config);
-    seeder.store(key, cold);
+    seeder.store(key, served_of(cold));
   }
 
   serve::TieredCache tiers({}, dir.string());
@@ -330,7 +398,7 @@ TEST(TieredCache, PromotesDiskHitsIntoMemory) {
   const serve::FlowCache& memory = tiers.memory();
 
   // First lookup: memory misses, disk hits, result promoted to memory.
-  t1::EngineResult out;
+  serve::ServedResult out;
   ASSERT_TRUE(tiers.lookup(key, out));
   expect_results_identical(cold, out, "disk hit");
   EXPECT_EQ(memory.stats().entries, 1u);
@@ -365,7 +433,7 @@ TEST(TieredCache, ServerAndKeyOfAgreeOnTheKey) {
   serve::DiskCacheConfig config;
   config.dir = dir.string();
   serve::DiskCache disk(config);
-  t1::EngineResult out;
+  serve::ServedResult out;
   EXPECT_TRUE(disk.lookup(key_of(gen::make_named("adder8"), fast_params()),
                           out));
   fs::remove_all(dir);
@@ -382,16 +450,10 @@ TEST(TieredCache, WritesThroughToEveryTier) {
 
   serve::TieredCache tiers({}, dir.string());
 
-  tiers.store(key, cold);
+  tiers.store(key, served_of(cold));
   EXPECT_EQ(tiers.memory().stats().entries, 1u);
   EXPECT_EQ(tiers.disk()->stats().entries, 1u);
-
-  // Failed results are stored nowhere and not counted.
-  t1::EngineResult failed;
-  failed.status = t1::FlowStatus::kNotEquivalent;
-  tiers.store(serve::CacheKey{5, 5}, failed);
   EXPECT_EQ(tiers.stats().insertions, 1u);
-  EXPECT_EQ(tiers.disk()->stats().entries, 1u);
   fs::remove_all(dir);
 }
 
@@ -404,12 +466,13 @@ TEST(TieredCache, ConcurrentTwoTierHammering) {
   const std::vector<std::string> names = {"adder8", "adder10", "adder12",
                                           "adder14"};
   std::vector<serve::CacheKey> keys;
-  std::vector<t1::EngineResult> results;
+  std::vector<serve::ServedResult> results;
   for (const std::string& name : names) {
     const Aig aig = gen::make_named(name);
     keys.push_back(key_of(aig, params));
-    results.push_back(engine.run(aig, params));
-    ASSERT_TRUE(results.back().ok());
+    const t1::EngineResult result = engine.run(aig, params);
+    ASSERT_TRUE(result.ok());
+    results.push_back(served_of(result));
   }
 
   serve::DiskCacheConfig config;
@@ -425,7 +488,7 @@ TEST(TieredCache, ConcurrentTwoTierHammering) {
     threads.emplace_back([&, t]() {
       for (int i = 0; i < kIters; ++i) {
         const std::size_t j = static_cast<std::size_t>(t + i) % keys.size();
-        t1::EngineResult out;
+        serve::ServedResult out;
         if (tiers->lookup(keys[j], out)) {
           if (out.stats.area_jj != results[j].stats.area_jj) {
             ++mismatches[t];
