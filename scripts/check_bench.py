@@ -11,7 +11,10 @@ regressing relative to the rest of the flow still trips the gate.  `min_ms`
 is the comparison metric because it carries the least scheduler noise (see
 PERF.md); stages whose snapshot time is below --min-ms are skipped entirely
 — sub-millisecond stages on shared CI runners are dominated by jitter, not
-by code.
+by code.  Each compared row also prints its max_ms/min_ms spread in the
+snapshot and in the fresh run: a flagged row whose spread is wide was
+measured through host noise, and a rerun is the first thing to try.  The
+spread is shown, not gated.
 
 Usage:
   check_bench.py SNAPSHOT.json FRESH.json [--max-ratio 1.25] [--min-ms 0.5]
@@ -21,6 +24,12 @@ import argparse
 import json
 import statistics
 import sys
+
+
+def spread(sample):
+    """max_ms / min_ms of one stage sample (inf when min_ms is 0)."""
+    low = sample.get("min_ms", 0.0)
+    return sample.get("max_ms", low) / low if low > 0 else float("inf")
 
 
 def main() -> int:
@@ -54,7 +63,8 @@ def main() -> int:
             if base < args.min_ms:
                 skipped += 1
                 continue
-            rows.append((name, stage, base, now_sample.get("min_ms", 0.0)))
+            rows.append((name, stage, base, now_sample.get("min_ms", 0.0),
+                         spread(sample), spread(now_sample)))
 
     if not rows:
         print("note: nothing to compare (empty overlap); passing")
@@ -70,35 +80,38 @@ def main() -> int:
     # equally and cancels; a single-stage regression shifts only its own
     # vote.
     by_kind = {}
-    for name, stage, base, now in rows:
+    for name, stage, base, now, _, _ in rows:
         if not stage.startswith("total"):
             by_kind.setdefault(stage, []).append(now / base)
     if by_kind:
         speed = statistics.median(
             statistics.median(ratios) for ratios in by_kind.values())
     else:
-        speed = statistics.median(now / base for _, _, base, now in rows)
+        speed = statistics.median(now / base for _, _, base, now, _, _ in rows)
     print(f"machine-speed factor (median of per-stage medians): "
           f"{speed:.2f}x over {len(by_kind)} stage kinds")
 
     failures = []
-    for name, stage, base, now in rows:
+    for name, stage, base, now, base_spread, now_spread in rows:
         ratio = (now / base) / speed
         marker = ""
         if ratio > args.max_ratio:
-            failures.append((name, stage, base, now, ratio))
+            failures.append((name, stage, base, now, ratio, base_spread,
+                             now_spread))
             marker = "  <-- REGRESSION"
         print(f"{name:16s} {stage:14s} {base:9.3f} -> {now:9.3f} ms "
-              f"(normalized {ratio:5.2f}x){marker}")
+              f"(normalized {ratio:5.2f}x, spread {base_spread:5.2f}x -> "
+              f"{now_spread:5.2f}x){marker}")
 
     print(f"\ncompared {len(rows)} stages, skipped {skipped} below "
           f"{args.min_ms} ms")
     if failures:
         print(f"FAIL: {len(failures)} stage(s) regressed more than "
               f"{args.max_ratio:.2f}x (machine-speed normalized):")
-        for name, stage, base, now, ratio in failures:
+        for name, stage, base, now, ratio, base_spread, now_spread in failures:
             print(f"  {name}/{stage}: {base:.3f} -> {now:.3f} ms "
-                  f"({ratio:.2f}x)")
+                  f"({ratio:.2f}x; max/min spread {base_spread:.2f}x "
+                  f"snapshot, {now_spread:.2f}x fresh)")
         return 1
     print("OK: no stage regressed beyond the threshold")
     return 0

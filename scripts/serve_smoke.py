@@ -14,7 +14,9 @@ Two transports:
       Unix-socket mode with a persistent --cache-dir.  Runs the same jobs,
       then SIGTERMs the server mid-connection (graceful drain), restarts it
       on the same cache directory, and asserts every job is served as a
-      warm disk hit with the cold response's stats and verdict.
+      warm disk hit with the cold response's stats and verdict.  After
+      each run the cache directory must hold exactly `lock` and
+      `records.t1c`.
 """
 import json
 import os
@@ -65,6 +67,11 @@ def tier(stats, name):
     matches = [t for t in stats["cache"]["tiers"] if t["name"] == name]
     assert len(matches) == 1, stats["cache"]["tiers"]
     return matches[0]
+
+
+def check_cache_dir(cache_dir):
+    files = sorted(os.listdir(cache_dir))
+    assert files == ["lock", "records.t1c"], f"cache dir holds {files}"
 
 
 def run_stream(t1map, extra):
@@ -160,6 +167,7 @@ def run_socket(t1map, extra):
         if proc.poll() is None:
             proc.kill()
             proc.wait()
+    check_cache_dir(cache_dir)
 
     # --- Warm run: same cache dir, every job is a disk or memory hit. ---
     proc = start_server(t1map, sock_path, cache_dir, extra)
@@ -191,11 +199,12 @@ def run_socket(t1map, extra):
         client.expect_eof()
         client.close()
         assert proc.wait(timeout=30) == 0, proc.returncode
-        print("serve smoke ok (socket+restart):", json.dumps(stats))
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.wait()
+    check_cache_dir(cache_dir)
+    print("serve smoke ok (socket+restart):", json.dumps(stats))
     return 0
 
 

@@ -72,7 +72,7 @@ struct CacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t insertions = 0;
-  std::uint64_t evictions = 0;  // incl. capacity-rejected admissions
+  std::uint64_t evictions = 0;  // LRU evictions; the disk tier has none
   std::uint64_t entries = 0;    // resident entries
   std::uint64_t bytes = 0;      // resident (or on-log) bytes
 };

@@ -2,43 +2,35 @@
 /// \brief Disk-backed, log-structured store of served results — the
 /// persistent second cache tier behind `--cache-dir`.
 ///
-/// Layout (two data files in the cache directory, plus an empty `lock`
-/// file whose exclusive `flock` the open cache holds):
+/// The cache directory holds one data file plus an empty `lock` file whose
+/// exclusive `flock` the open cache holds:
 ///
 ///   records.t1c   append-only record log.  8-byte header (magic,
 ///                 `kResultCodecVersion`), then back-to-back records:
 ///                 [magic u32][payload_len u32][key.hi u64][key.lo u64]
 ///                 [checksum u64][payload bytes]
 ///                 where the payload is `encode_result` output and the
-///                 checksum is `payload_checksum` over it.
-///   index.t1c     append-only entry list mirroring the log.  8-byte
-///                 header, then 28-byte entries:
-///                 [key.hi u64][key.lo u64][offset u64][payload_len u32]
-///                 On boot it is mmap'd and replayed to rebuild the
-///                 in-memory key → offset table without touching a single
-///                 payload byte — warm start is O(entries), not O(bytes).
+///                 checksum is `record_checksum` over key and payload.
 ///
-/// Crash tolerance: a record is committed by its *index entry* (written
-/// after the record).  Recovery drops any index tail that points past the
-/// end of the log (crash mid-record or mid-entry), truncates both files
-/// back to their last consistent prefix, and carries on.  Checksums are
-/// verified on every lookup; a corrupt record is dropped from the index
-/// and reported as a miss — the cache heals rather than serves garbage.
+/// Boot replays the log once.  A record is accepted when its magic, its
+/// length (it must fit in the file), its checksum and its payload decode
+/// all hold; accepted records fill an in-memory key -> `ServedResult` map
+/// (the first record of a key wins).  At the first record that fails —
+/// the torn tail of a crash, or a corrupt record anywhere — the log is
+/// truncated, so a bad byte costs a recompute of the records behind it,
+/// never a wrong answer.  After boot the file is only appended to: a
+/// lookup is a map find, a store appends one record.
 ///
 /// Keys are platform-stable `CacheKey`s (cache_key.hpp) and payloads are
 /// `ServedResult`s, so a cache directory written by one host warm-starts
 /// any other build of the same format version.  A directory of another
-/// version (earlier builds wrote version 1, whole flow results) is refused
-/// at open and must be removed.
+/// version is refused at open and must be removed.
 ///
-/// Thread safety: the index map and the append path are mutex-guarded;
-/// record reads go through `pread` on immutable log regions, so concurrent
-/// lookups proceed without serializing on the file position.
+/// Thread safety: one mutex guards the map, the counters and the append
+/// path.
 
 #pragma once
 
-#include <atomic>
-#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -51,20 +43,16 @@ namespace t1map::serve {
 struct DiskCacheConfig {
   /// Cache directory; created (with parents) when missing.
   std::string dir;
-  /// Log size cap in bytes; 0 = unbounded.  The log is append-only, so a
-  /// full cache rejects new stores (counted as evictions) instead of
-  /// rewriting history.
-  std::size_t max_bytes = 0;
-  /// fsync record and index after every store.  Off by default: the log
-  /// is a cache, and recovery already tolerates a torn tail.
+  /// fsync the log after every store.  Off by default: the log is a
+  /// cache, and boot already drops a torn tail.
   bool fsync_stores = false;
 };
 
 class DiskCache {
  public:
-  /// Opens (or creates) the store, locks the directory and recovers the
-  /// index.  Throws `ContractError` when the directory is unusable, holds
-  /// an incompatible cache, or is locked by another `DiskCache` (in this
+  /// Opens (or creates) the log, locks the directory and replays the log.
+  /// Throws `ContractError` when the directory is unusable, holds an
+  /// incompatible cache, or is locked by another `DiskCache` (in this
   /// process or another); the destructor releases the lock.
   explicit DiskCache(DiskCacheConfig config);
   ~DiskCache();
@@ -72,46 +60,35 @@ class DiskCache {
   DiskCache(const DiskCache&) = delete;
   DiskCache& operator=(const DiskCache&) = delete;
 
-  /// Fills `out` and returns true when `key` has an intact record.
+  /// Fills `out` and returns true when `key` is stored.
   bool lookup(const CacheKey& key, ServedResult& out);
   /// Appends `result` unless `key` is already stored (first write wins).
   void store(const CacheKey& key, const ServedResult& result);
   CacheStats stats() const;
 
-  /// Entries recovered by the warm-start scan of the boot.
+  /// Entries the boot replay accepted.
   std::uint64_t recovered_entries() const { return recovered_; }
-  /// Bytes truncated from the two files during crash recovery.
+  /// Log bytes the boot replay truncated (a torn or corrupt tail).
   std::uint64_t recovered_truncated_bytes() const { return truncated_; }
 
  private:
-  struct Loc {
-    std::uint64_t offset = 0;  // of the record header in the log
-    std::uint32_t payload_len = 0;
-  };
-
   void lock_directory();
-  void open_files();
-  void recover_index();
+  void replay_log();
   void close_files();
 
   DiskCacheConfig config_;
   std::string records_path_;
-  std::string index_path_;
   int records_fd_ = -1;
-  int index_fd_ = -1;
   int lock_fd_ = -1;  // holds flock(LOCK_EX) on <dir>/lock
-
-  mutable std::mutex mu_;  // index map + append path
-  std::unordered_map<CacheKey, Loc, CacheKeyHash> index_;
-  std::uint64_t records_size_ = 0;
-  std::uint64_t index_size_ = 0;
-
-  std::uint64_t recovered_ = 0;
+  std::uint64_t recovered_ = 0;  // set once, by the boot replay
   std::uint64_t truncated_ = 0;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> insertions_{0};
-  std::atomic<std::uint64_t> rejected_{0};  // capacity / corruption drops
+
+  mutable std::mutex mu_;  // everything below
+  std::unordered_map<CacheKey, ServedResult, CacheKeyHash> entries_;
+  std::uint64_t records_size_ = 0;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+  std::uint64_t insertions_ = 0;
 };
 
 }  // namespace t1map::serve

@@ -1,77 +1,55 @@
 #include "serve/flow_cache.hpp"
 
-#include <algorithm>
-#include <bit>
-
 namespace t1map::serve {
 
-FlowCache::FlowCache(CacheConfig config)
-    : config_(config),
-      shard_mask_(std::bit_ceil(static_cast<std::size_t>(
-                      std::max(config.num_shards, 1))) -
-                  1),
-      shard_budget_(config.max_bytes / (shard_mask_ + 1)),
-      shards_(shard_mask_ + 1) {}
+FlowCache::FlowCache(std::size_t max_bytes) : max_bytes_(max_bytes) {}
 
 bool FlowCache::lookup(const CacheKey& key, ServedResult& out) {
-  Shard& shard = shard_for(key);
-  const std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
-    ++shard.misses;
+  const std::lock_guard<std::mutex> lock(mu_);
+  const auto it = index_.find(key);
+  if (it == index_.end()) {
+    ++misses_;
     return false;
   }
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  ++shard.hits;
+  lru_.splice(lru_.begin(), lru_, it->second);
+  ++hits_;
   out = it->second->result;
   return true;
 }
 
 void FlowCache::store(const CacheKey& key, const ServedResult& result) {
-  Shard& shard = shard_for(key);
-  const std::lock_guard<std::mutex> lock(shard.mu);
-  if (const auto it = shard.index.find(key); it != shard.index.end()) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (const auto it = index_.find(key); it != index_.end()) {
     // Same key, same deterministic payload — just touch the LRU spot.
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  shard.lru.push_front(Entry{key, result, sizeof(Entry) + result.cec.size()});
-  shard.index.emplace(key, shard.lru.begin());
-  shard.bytes += shard.lru.front().bytes;
-  ++shard.insertions;
+  lru_.push_front(Entry{key, result, sizeof(Entry) + result.cec.size()});
+  index_.emplace(key, lru_.begin());
+  bytes_ += lru_.front().bytes;
+  ++insertions_;
 
   // Evict strictly from the cold tail.  An entry larger than the whole
-  // shard budget evicts everything including itself.
-  while (shard.bytes > shard_budget_ && !shard.lru.empty()) {
-    const Entry& victim = shard.lru.back();
-    shard.bytes -= victim.bytes;
-    shard.index.erase(victim.key);
-    shard.lru.pop_back();
-    ++shard.evictions;
+  // budget evicts everything including itself.
+  while (bytes_ > max_bytes_ && !lru_.empty()) {
+    const Entry& victim = lru_.back();
+    bytes_ -= victim.bytes;
+    index_.erase(victim.key);
+    lru_.pop_back();
+    ++evictions_;
   }
 }
 
 CacheStats FlowCache::stats() const {
-  CacheStats total;
-  for (const Shard& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard.mu);
-    total.hits += shard.hits;
-    total.misses += shard.misses;
-    total.insertions += shard.insertions;
-    total.evictions += shard.evictions;
-    total.entries += shard.lru.size();
-    total.bytes += shard.bytes;
-  }
-  return total;
-}
-
-std::vector<std::uint64_t> FlowCache::shard_occupancy() const {
-  std::vector<std::uint64_t> occupancy(shards_.size());
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const std::lock_guard<std::mutex> lock(shards_[i].mu);
-    occupancy[i] = shards_[i].lru.size();
-  }
-  return occupancy;
+  const std::lock_guard<std::mutex> lock(mu_);
+  CacheStats s;
+  s.hits = hits_;
+  s.misses = misses_;
+  s.insertions = insertions_;
+  s.evictions = evictions_;
+  s.entries = lru_.size();
+  s.bytes = bytes_;
+  return s;
 }
 
 }  // namespace t1map::serve

@@ -118,12 +118,16 @@ ServedResult decode_result(std::string_view bytes) {
   return result;
 }
 
-std::uint64_t payload_checksum(std::string_view bytes) {
+std::uint64_t record_checksum(const CacheKey& key, std::string_view payload) {
   std::uint64_t h = 14695981039346656037ull;  // FNV-1a offset basis
-  for (const char c : bytes) {
-    h ^= static_cast<std::uint8_t>(c);
+  const auto feed = [&h](std::uint8_t byte) {
+    h ^= byte;
     h *= 1099511628211ull;  // FNV-1a prime
+  };
+  for (const std::uint64_t half : {key.hi, key.lo}) {
+    for (int i = 0; i < 8; ++i) feed((half >> (8 * i)) & 0xFF);
   }
+  for (const char c : payload) feed(static_cast<std::uint8_t>(c));
   return mix64(h);
 }
 

@@ -1,6 +1,6 @@
 /// \file result_codec.hpp
-/// \brief Binary serialization of `serve::ServedResult` — the disk tier's
-/// record payload format.
+/// \brief Binary serialization of `serve::ServedResult` — the payload of a
+/// disk-tier record — and the record checksum.
 ///
 /// The encoding is platform-stable by the same rules as the cache keys:
 /// explicit little-endian fixed-width integers, no padding, no pointers,
@@ -9,8 +9,8 @@
 /// hosts or survive a toolchain upgrade.
 ///
 /// A payload is the nine `t1::FlowStats` fields followed by the CEC
-/// verdict.  Decoding builds no netlist and trusts no length: a truncated,
-/// padded or otherwise malformed payload fails as `ContractError`.
+/// verdict.  Decoding trusts no length: a truncated, padded or otherwise
+/// malformed payload fails as `ContractError`.
 
 #pragma once
 
@@ -22,10 +22,11 @@
 
 namespace t1map::serve {
 
-/// Bumped whenever the payload layout changes; part of the record header,
-/// so mixed-version cache directories fail loudly at open, not at decode.
-/// Version 1 carried whole flow results (netlists included).
-constexpr std::uint32_t kResultCodecVersion = 2;
+/// Bumped whenever the payload or record layout changes; stamped in the
+/// log header, so mixed-version cache directories fail loudly at open, not
+/// at decode.  Version 1 carried whole flow results (netlists included);
+/// version 2 checksummed the payload alone and kept a second index file.
+constexpr std::uint32_t kResultCodecVersion = 3;
 
 /// Serializes `result` into a byte string.
 std::string encode_result(const ServedResult& result);
@@ -35,8 +36,10 @@ std::string encode_result(const ServedResult& result);
 /// `skipped|equivalent|not_equivalent|unknown`.
 ServedResult decode_result(std::string_view bytes);
 
-/// Platform-stable 64-bit FNV-1a + finalizer over a payload — the record
-/// checksum of the disk tier.
-std::uint64_t payload_checksum(std::string_view bytes);
+/// Platform-stable 64-bit FNV-1a + finalizer over `key` (hi then lo,
+/// little-endian) followed by `payload` — the record checksum of the disk
+/// tier.  Covering the key means a flipped key byte fails the check
+/// instead of filing the result under another design's key.
+std::uint64_t record_checksum(const CacheKey& key, std::string_view payload);
 
 }  // namespace t1map::serve

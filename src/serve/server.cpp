@@ -94,7 +94,7 @@ struct Server::SessionState {
 
 Server::Server(ServeConfig config)
     : config_(std::move(config)),
-      cache_(config_.cache, config_.cache_dir) {}
+      cache_(config_.cache_bytes, config_.cache_dir) {}
 
 Server::Job Server::parse_request(const std::string& line, std::uint64_t seq,
                                   AigHasher& hasher) const {
@@ -298,9 +298,7 @@ void Server::write_response(Connection& conn, const Job& job) {
     w.key("tiers").begin_array();
     w.begin_object().key("name").value("memory");
     write_cache_stats_fields(w, cache_.memory().stats());
-    w.key("shards").begin_array();
-    for (const std::uint64_t n : cache_.memory().shard_occupancy()) w.value(n);
-    w.end_array().end_object();
+    w.end_object();
     if (const DiskCache* disk = cache_.disk()) {
       w.begin_object().key("name").value("disk");
       write_cache_stats_fields(w, disk->stats());

@@ -47,6 +47,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -82,8 +83,8 @@ struct ServeConfig {
   /// Maximum requests pulled into one dispatch batch.
   int batch_size = 16;
   JobDefaults defaults;
-  /// Memory tier sizing.
-  CacheConfig cache;
+  /// Memory tier byte budget.
+  std::size_t cache_bytes = kDefaultCacheBytes;
   /// Non-empty: directory for the persistent disk tier (created when
   /// missing, recovered on boot).
   std::string cache_dir;

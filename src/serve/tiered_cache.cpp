@@ -4,8 +4,8 @@
 
 namespace t1map::serve {
 
-TieredCache::TieredCache(CacheConfig memory, std::string disk_dir)
-    : memory_(memory) {
+TieredCache::TieredCache(std::size_t memory_bytes, std::string disk_dir)
+    : memory_(memory_bytes) {
   if (disk_dir.empty()) return;
   DiskCacheConfig disk;
   disk.dir = std::move(disk_dir);

@@ -4,21 +4,22 @@
 /// `ServedResult`s (Table-I statistics + CEC verdict).
 ///
 ///   * `lookup` tries memory, then disk; a disk hit is *promoted* — stored
-///     into memory — so a result recovered from disk after a restart pays
-///     the decode exactly once and is served from memory thereafter;
+///     into memory — so after a restart the LRU learns the working set the
+///     disk tier recovered at boot;
 ///   * `store` writes through to both tiers;
 ///   * `stats` reports the pair's own lookup/store outcomes (a hit in
 ///     either tier is one tiered hit; a miss means both missed) plus the
 ///     tiers' resident totals.  Per-tier counters stay available through
 ///     `memory().stats()` and `disk()->stats()`.
 ///
-/// Thread safety: `TieredCache` adds only atomic counters of its own; both
-/// tiers are fully thread-safe, so any number of serve sessions may share
-/// one instance.
+/// Thread safety: `TieredCache` adds only atomic counters of its own; each
+/// tier guards itself with one mutex, so any number of serve sessions may
+/// share one instance.
 
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -31,10 +32,11 @@ namespace t1map::serve {
 
 class TieredCache {
  public:
-  /// A memory tier sized by `memory`, plus a disk tier in `disk_dir` when
+  /// A memory tier of `memory_bytes`, plus a disk tier in `disk_dir` when
   /// it is non-empty (throws `ContractError` as `DiskCache` does when that
   /// directory is unusable).
-  explicit TieredCache(CacheConfig memory = {}, std::string disk_dir = {});
+  explicit TieredCache(std::size_t memory_bytes = kDefaultCacheBytes,
+                       std::string disk_dir = {});
 
   /// Fills `out` and returns true when `key` is in either tier.
   bool lookup(const CacheKey& key, ServedResult& out);

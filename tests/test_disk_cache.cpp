@@ -1,19 +1,21 @@
 // The persistent cache tier: the binary result codec (round-trip,
 // corruption and hostile-byte rejection), the log-structured DiskCache
-// (reopen warm start, torn-tail crash recovery, checksum self-healing,
-// capacity rejection, the format-version gate, one open cache per
-// directory), and the TieredCache pair
-// (promotion, write-through, the server's key, concurrent two-tier
-// hammering — the TSan CI leg runs this suite).
+// (reopen warm start, boot-time recovery from torn tails, corrupt and
+// hostile log bytes, the format-version gate, one open cache per
+// directory), and the TieredCache pair (promotion, write-through, the
+// server's key, concurrent two-tier hammering — the TSan CI leg runs this
+// suite, the ASan/UBSan leg the hostile-byte tests).
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -133,13 +135,24 @@ TEST(ResultCodec, SurvivesHostileBytes) {
 
 TEST(ResultCodec, ChecksumCoversEveryByte) {
   const std::string bytes = serve::encode_result(served_of(sample_result()));
-  const std::uint64_t reference = serve::payload_checksum(bytes);
+  const serve::CacheKey key{0x0123456789ABCDEFull, 0xFEDCBA9876543210ull};
+  const std::uint64_t reference = serve::record_checksum(key, bytes);
   std::string mutated = bytes;
   for (const std::size_t pos : {std::size_t{0}, bytes.size() / 2,
                                 bytes.size() - 1}) {
     mutated[pos] ^= 0x01;
-    EXPECT_NE(serve::payload_checksum(mutated), reference) << pos;
+    EXPECT_NE(serve::record_checksum(key, mutated), reference) << pos;
     mutated[pos] ^= 0x01;
+  }
+  // The key is covered too, in both halves and at both ends of each.
+  for (const int bit : {0, 31, 63}) {
+    const std::uint64_t flip = std::uint64_t{1} << bit;
+    EXPECT_NE(serve::record_checksum({key.hi ^ flip, key.lo}, bytes),
+              reference)
+        << "hi bit " << bit;
+    EXPECT_NE(serve::record_checksum({key.hi, key.lo ^ flip}, bytes),
+              reference)
+        << "lo bit " << bit;
   }
 }
 
@@ -199,42 +212,29 @@ TEST(DiskCache, RecoversFromTornTailWrites) {
   ASSERT_TRUE(good.ok());
 
   std::uintmax_t records_committed = 0;
-  std::uintmax_t index_committed = 0;
   {
     serve::DiskCacheConfig config;
     config.dir = dir.string();
     serve::DiskCache cache(config);
     cache.store(good_key, served_of(good));
     records_committed = fs::file_size(dir / "records.t1c");
-    index_committed = fs::file_size(dir / "index.t1c");
   }
 
-  // Simulate a crash mid-store: a half-written record with no index entry,
-  // plus a dangling index entry pointing past the log end, plus a partial
-  // trailing index entry.
+  // Simulate a crash mid-store: a half-written record behind the
+  // committed one.
   {
     std::ofstream records(dir / "records.t1c",
                           std::ios::binary | std::ios::app);
     records.write("TORNRECORDBYTES", 15);
   }
-  {
-    std::ofstream index(dir / "index.t1c", std::ios::binary | std::ios::app);
-    std::string dangling(28, '\0');
-    // Offset far past the log end (and large enough that naive offset+len
-    // arithmetic would overflow — recovery must not wrap).
-    for (int i = 16; i < 24; ++i) dangling[i] = '\xff';
-    index.write(dangling.data(), 28);
-    index.write("PARTIAL", 7);
-  }
 
   serve::DiskCacheConfig config;
   config.dir = dir.string();
   serve::DiskCache recovered(config);
-  // The committed entry survives; the torn tail is measured and dropped.
+  // The committed record survives; the torn tail is measured and dropped.
   EXPECT_EQ(recovered.recovered_entries(), 1u);
-  EXPECT_EQ(recovered.recovered_truncated_bytes(), 15u + 28u + 7u);
+  EXPECT_EQ(recovered.recovered_truncated_bytes(), 15u);
   EXPECT_EQ(fs::file_size(dir / "records.t1c"), records_committed);
-  EXPECT_EQ(fs::file_size(dir / "index.t1c"), index_committed);
 
   serve::ServedResult warm;
   ASSERT_TRUE(recovered.lookup(good_key, warm));
@@ -261,9 +261,11 @@ TEST(DiskCache, CorruptPayloadIsDroppedNotServed) {
 
   serve::DiskCacheConfig config;
   config.dir = dir.string();
+  std::uintmax_t record_bytes = 0;
   {
     serve::DiskCache cache(config);
     cache.store(key, served_of(result));
+    record_bytes = fs::file_size(dir / "records.t1c") - 8;
   }
   {
     // Flip one payload byte near the end of the record log.
@@ -276,46 +278,136 @@ TEST(DiskCache, CorruptPayloadIsDroppedNotServed) {
     records.put(static_cast<char>(byte ^ 0x55));
   }
 
+  // The boot replay fails the checksum and truncates the record away.
   serve::DiskCache cache(config);
-  EXPECT_EQ(cache.recovered_entries(), 1u);
+  EXPECT_EQ(cache.recovered_entries(), 0u);
+  EXPECT_EQ(cache.recovered_truncated_bytes(), record_bytes);
+  EXPECT_EQ(fs::file_size(dir / "records.t1c"), 8u);
   serve::ServedResult out;
-  EXPECT_FALSE(cache.lookup(key, out));  // checksum fails -> miss, healed
-  EXPECT_FALSE(cache.lookup(key, out));  // stays gone
+  EXPECT_FALSE(cache.lookup(key, out));
   const serve::CacheStats s = cache.stats();
   EXPECT_EQ(s.hits, 0u);
-  EXPECT_EQ(s.misses, 2u);
+  EXPECT_EQ(s.misses, 1u);
   EXPECT_EQ(s.entries, 0u);
   // The slot is rewritable: a fresh store serves again.
   cache.store(key, served_of(result));
   ASSERT_TRUE(cache.lookup(key, out));
-  expect_results_identical(result, out, "post-heal rewrite");
+  expect_results_identical(result, out, "post-recovery rewrite");
   fs::remove_all(dir);
 }
 
-TEST(DiskCache, FullLogRejectsStoresAndCountsThem) {
-  const fs::path dir = fresh_dir("disk_full");
-  t1::FlowEngine engine;
-  const t1::FlowParams params = fast_params();
-  const Aig a = gen::make_named("adder8");
-  const Aig b = gen::make_named("adder12");
-  const t1::EngineResult ra = engine.run(a, params);
-  const t1::EngineResult rb = engine.run(b, params);
-  ASSERT_TRUE(ra.ok());
-  ASSERT_TRUE(rb.ok());
+std::string read_file(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void write_file(const fs::path& path, std::string_view bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Three stored records and the log that holds them.
+struct ThreeRecordLog {
+  std::vector<serve::CacheKey> keys;
+  std::vector<serve::ServedResult> values;
+  std::string log;                  // records.t1c as written
+  std::vector<std::size_t> ends;    // log offset after each record
+};
+
+ThreeRecordLog write_three_records(const fs::path& dir) {
+  ThreeRecordLog t;
+  t.keys = {{0x1111, 0xAAAA}, {0x2222, 0xBBBB}, {0x3333, 0xCCCC}};
+  const char* verdicts[] = {"equivalent", "skipped", "not_equivalent"};
+  serve::DiskCacheConfig config;
+  config.dir = dir.string();
+  serve::DiskCache cache(config);
+  for (std::size_t i = 0; i < t.keys.size(); ++i) {
+    serve::ServedResult v = served_of(sample_result());
+    v.stats.area_jj += static_cast<long>(i);
+    v.cec = verdicts[i];
+    cache.store(t.keys[i], v);
+    t.values.push_back(v);
+    t.ends.push_back(static_cast<std::size_t>(cache.stats().bytes));
+  }
+  t.log = read_file(dir / "records.t1c");
+  return t;
+}
+
+/// Opens `dir` and checks it recovered exactly the first `prefix` records
+/// of `t`, each equal to what was stored, and nothing else.
+void expect_recovers_prefix(const fs::path& dir, const ThreeRecordLog& t,
+                            std::size_t prefix, const std::string& label) {
+  serve::DiskCacheConfig config;
+  config.dir = dir.string();
+  serve::DiskCache cache(config);
+  EXPECT_EQ(cache.recovered_entries(), prefix) << label;
+  for (std::size_t i = 0; i < t.keys.size(); ++i) {
+    serve::ServedResult out;
+    const bool hit = cache.lookup(t.keys[i], out);
+    EXPECT_EQ(hit, i < prefix) << label << ", record " << i;
+    if (hit) {
+      EXPECT_EQ(serve::encode_result(out), serve::encode_result(t.values[i]))
+          << label << ", record " << i;
+    }
+  }
+  const std::size_t kept = prefix == 0 ? 8 : t.ends[prefix - 1];
+  EXPECT_EQ(fs::file_size(dir / "records.t1c"), kept) << label;
+}
+
+// Every truncation of a 3-record log and every byte XOR'd with 0xFF: the
+// open throws ContractError (header bytes) or recovers exactly the records
+// before the damage.  The ASan/UBSan leg runs this suite, so a stray read
+// of the hostile log fails there.
+TEST(DiskCache, SurvivesHostileLogBytes) {
+  const fs::path dir = fresh_dir("disk_hostile");
+  const ThreeRecordLog t = write_three_records(dir);
+  ASSERT_EQ(t.log.size(), t.ends.back());
+  const auto records_before = [&](std::size_t offset) {
+    std::size_t n = 0;
+    while (n < t.ends.size() && t.ends[n] <= offset) ++n;
+    return n;
+  };
+
+  for (std::size_t cut = 0; cut < t.log.size(); ++cut) {
+    write_file(dir / "records.t1c", std::string_view(t.log).substr(0, cut));
+    // A log cut inside its header is restamped as an empty cache.
+    expect_recovers_prefix(dir, t, cut < 8 ? 0 : records_before(cut),
+                           "cut at " + std::to_string(cut));
+  }
 
   serve::DiskCacheConfig config;
   config.dir = dir.string();
-  // Room for the first record but not the second.
-  config.max_bytes = 8 + 32 + serve::encode_result(served_of(ra)).size();
+  for (std::size_t pos = 0; pos < t.log.size(); ++pos) {
+    std::string mutated = t.log;
+    mutated[pos] = static_cast<char>(mutated[pos] ^ 0xFF);
+    write_file(dir / "records.t1c", mutated);
+    const std::string label = "byte " + std::to_string(pos) + " ^ 0xFF";
+    if (pos < 8) {
+      EXPECT_THROW(serve::DiskCache{config}, ContractError) << label;
+    } else {
+      expect_recovers_prefix(dir, t, records_before(pos), label);
+    }
+  }
+  fs::remove_all(dir);
+}
+
+// The checksum covers the key: a record whose header key byte flipped is
+// not recovered, under either key.
+TEST(DiskCache, FlippedKeyByteIsNotRecovered) {
+  const fs::path dir = fresh_dir("disk_key_flip");
+  const ThreeRecordLog t = write_three_records(dir);
+  std::string mutated = t.log;
+  const std::size_t key_hi_byte = 8 + 8;  // log header, magic, length
+  mutated[key_hi_byte] = static_cast<char>(mutated[key_hi_byte] ^ 0x01);
+  write_file(dir / "records.t1c", mutated);
+
+  serve::DiskCacheConfig config;
+  config.dir = dir.string();
   serve::DiskCache cache(config);
-  cache.store(key_of(a, params), served_of(ra));
-  cache.store(key_of(b, params), served_of(rb));  // over budget: rejected
-  const serve::CacheStats s = cache.stats();
-  EXPECT_EQ(s.insertions, 1u);
-  EXPECT_EQ(s.evictions, 1u);  // the rejected store
+  EXPECT_EQ(cache.recovered_entries(), 0u);
   serve::ServedResult out;
-  EXPECT_TRUE(cache.lookup(key_of(a, params), out));
-  EXPECT_FALSE(cache.lookup(key_of(b, params), out));
+  EXPECT_FALSE(cache.lookup(t.keys[0], out));
+  EXPECT_FALSE(cache.lookup({t.keys[0].hi ^ 0x01, t.keys[0].lo}, out));
   fs::remove_all(dir);
 }
 
@@ -332,27 +424,31 @@ TEST(DiskCache, RejectsForeignAndIncompatibleFiles) {
   fs::remove_all(dir);
 }
 
-// Earlier builds stamped version 1 and stored whole flow results; such a
-// directory is refused at open with a hint to remove it.
+// Earlier builds stamped version 1 (whole flow results) or version 2
+// (payload-only checksums plus an index file); such a directory is refused
+// at open with a hint to remove it.
 TEST(DiskCache, RejectsAnOlderFormatVersion) {
-  const fs::path dir = fresh_dir("disk_version");
-  fs::create_directories(dir);
-  {
-    std::ofstream records(dir / "records.t1c", std::ios::binary);
-    const char header[8] = {'R', 'C', '1', 'T', 1, 0, 0, 0};  // "T1CR", v1
-    records.write(header, sizeof header);
+  for (const char version : {1, 2}) {
+    const fs::path dir = fresh_dir("disk_version");
+    fs::create_directories(dir);
+    {
+      std::ofstream records(dir / "records.t1c", std::ios::binary);
+      const char header[8] = {'R', 'C', '1', 'T', version, 0, 0, 0};
+      records.write(header, sizeof header);
+    }
+    serve::DiskCacheConfig config;
+    config.dir = dir.string();
+    try {
+      serve::DiskCache cache(config);
+      ADD_FAILURE() << "a version-" << int{version}
+                    << " cache directory opened";
+    } catch (const ContractError& e) {
+      EXPECT_NE(std::string(e.what()).find("remove the directory"),
+                std::string::npos)
+          << e.what();
+    }
+    fs::remove_all(dir);
   }
-  serve::DiskCacheConfig config;
-  config.dir = dir.string();
-  try {
-    serve::DiskCache cache(config);
-    ADD_FAILURE() << "a version-1 cache directory opened";
-  } catch (const ContractError& e) {
-    EXPECT_NE(std::string(e.what()).find("remove the directory"),
-              std::string::npos)
-        << e.what();
-  }
-  fs::remove_all(dir);
 }
 
 TEST(DiskCache, SecondOpenOfALockedDirectoryThrows) {
@@ -393,7 +489,7 @@ TEST(TieredCache, PromotesDiskHitsIntoMemory) {
     seeder.store(key, served_of(cold));
   }
 
-  serve::TieredCache tiers({}, dir.string());
+  serve::TieredCache tiers(serve::kDefaultCacheBytes, dir.string());
   ASSERT_NE(tiers.disk(), nullptr);
   const serve::FlowCache& memory = tiers.memory();
 
@@ -448,7 +544,7 @@ TEST(TieredCache, WritesThroughToEveryTier) {
   const t1::EngineResult cold = engine.run(aig, params);
   ASSERT_TRUE(cold.ok());
 
-  serve::TieredCache tiers({}, dir.string());
+  serve::TieredCache tiers(serve::kDefaultCacheBytes, dir.string());
 
   tiers.store(key, served_of(cold));
   EXPECT_EQ(tiers.memory().stats().entries, 1u);
@@ -477,7 +573,7 @@ TEST(TieredCache, ConcurrentTwoTierHammering) {
 
   serve::DiskCacheConfig config;
   config.dir = dir.string();
-  auto tiers = std::make_unique<serve::TieredCache>(serve::CacheConfig{},
+  auto tiers = std::make_unique<serve::TieredCache>(serve::kDefaultCacheBytes,
                                                      dir.string());
 
   constexpr int kThreads = 8;

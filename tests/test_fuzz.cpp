@@ -1,5 +1,6 @@
 // Fuzz subsystem tests: determinism and parameter adherence of the random
-// AIG generator, a clean differential run over all three configurations,
+// AIG generator and of the small-edit mutator behind the serve benchmark's
+// edit requests, a clean differential run over all three configurations,
 // and the acceptance demonstrations — an intentionally injected mapping bug
 // is caught by the CEC oracle, and an injected contract violation by the
 // fuzzer's own catch; both are minimized and dumped as .aag repros.
@@ -12,12 +13,14 @@
 
 #include "common/require.hpp"
 #include "fuzz/fuzzer.hpp"
+#include "fuzz/mutate.hpp"
 #include "fuzz/random_aig.hpp"
 #include "gen/registry.hpp"
 #include "io/aiger.hpp"
 #include "sat/cec.hpp"
 #include "serve/aig_hash.hpp"
 #include "sfq/netlist.hpp"
+#include "t1/flow_engine.hpp"
 
 namespace t1map {
 namespace {
@@ -47,6 +50,44 @@ TEST(RandomAig, HonorsInterfaceParameters) {
   EXPECT_EQ(aig.num_pis(), options.num_pis);
   EXPECT_EQ(aig.num_pos(), options.num_pos);
   EXPECT_GT(aig.num_ands(), 0u);
+}
+
+TEST(MutateAig, DeterministicAndInterfacePreserving) {
+  const Aig src = gen::make_named("adder16");
+  const fuzz::MutateOptions options{7, 2};
+  const Aig a = fuzz::mutate_aig(src, options);
+  const Aig b = fuzz::mutate_aig(src, options);
+  EXPECT_EQ(serve::hash_aig(a), serve::hash_aig(b));
+
+  ASSERT_EQ(a.num_pis(), src.num_pis());
+  ASSERT_EQ(a.num_pos(), src.num_pos());
+  for (std::uint32_t i = 0; i < src.num_pis(); ++i) {
+    EXPECT_EQ(a.pi_name(i), src.pi_name(i)) << "PI " << i;
+  }
+  for (std::uint32_t i = 0; i < src.num_pos(); ++i) {
+    EXPECT_EQ(a.po_name(i), src.po_name(i)) << "PO " << i;
+  }
+}
+
+TEST(MutateAig, ZeroEditsKeepTheSourceAndSomeSeedEdits) {
+  const Aig src = gen::make_named("adder16");
+  const serve::Digest source = serve::hash_aig(src);
+  EXPECT_EQ(serve::hash_aig(fuzz::mutate_aig(src, {1, 0})), source);
+
+  bool changed = false;
+  for (std::uint64_t seed = 1; seed <= 8 && !changed; ++seed) {
+    changed = !(serve::hash_aig(fuzz::mutate_aig(src, {seed, 1})) == source);
+  }
+  EXPECT_TRUE(changed) << "no seed in 1..8 edited adder16";
+}
+
+TEST(MutateAig, MutantMapsThroughTheDefaultFlow) {
+  const Aig src = gen::make_named("adder16");
+  const Aig mutant = fuzz::mutate_aig(src, {3, 1});
+  ASSERT_FALSE(serve::hash_aig(mutant) == serve::hash_aig(src));
+  t1::FlowEngine engine;
+  const t1::EngineResult result = engine.run(mutant, t1::FlowParams{});
+  EXPECT_TRUE(result.ok()) << result.cec;
 }
 
 TEST(Fuzz, CleanRunReportsNoFailures) {

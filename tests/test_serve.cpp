@@ -1,5 +1,5 @@
 // The serving layer: canonical AIG hashing (stability, sensitivity,
-// collision sanity), the sharded LRU FlowCache (hits answer as the cold
+// collision sanity), the one-lock LRU FlowCache (hits answer as the cold
 // run, byte-budget eviction, concurrent hammering — the TSan CI leg runs
 // this suite), the server's cached dispatch (in-batch dedupe, hit counters,
 // the pipeline in the key), and the JSONL server protocol (ordering, hit
@@ -250,12 +250,10 @@ TEST(FlowCache, EvictsLruUnderByteBudget) {
   }
   ASSERT_GT(charge, 0u);
 
-  // A budget one byte short of all three entries (single shard: the budget
-  // is the whole cache): any two fit, the third forces an eviction.
-  serve::CacheConfig config;
-  config.num_shards = 1;
-  config.max_bytes = 3 * charge - 1;
-  serve::FlowCache cache(config);
+  // A budget one byte short of all three entries: any two fit, the third
+  // forces an eviction.
+  const std::size_t budget = 3 * charge - 1;
+  serve::FlowCache cache(budget);
 
   cache.store(keys[0], values[0]);
   cache.store(keys[1], values[1]);
@@ -270,7 +268,7 @@ TEST(FlowCache, EvictsLruUnderByteBudget) {
   const serve::CacheStats c = cache.stats();
   EXPECT_EQ(c.evictions, 1u);
   EXPECT_EQ(c.entries, 2u);
-  EXPECT_LE(c.bytes, config.max_bytes);
+  EXPECT_LE(c.bytes, budget);
   ASSERT_TRUE(cache.lookup(keys[0], out));  // recently used: survived
   EXPECT_EQ(out.stats.area_jj, 100);
   EXPECT_FALSE(cache.lookup(keys[1], out));  // LRU: evicted
@@ -280,7 +278,7 @@ TEST(FlowCache, EvictsLruUnderByteBudget) {
 
 TEST(FlowCache, ConcurrentHitMissHammering) {
   // 8 threads hammer a 4-entry working set through lookup+store; the TSan
-  // CI leg runs this test to prove the sharded locking sound.
+  // CI leg runs this test to prove the locking sound.
   t1::FlowEngine engine;
   t1::FlowParams params;
   params.verify_rounds = 0;
@@ -296,7 +294,7 @@ TEST(FlowCache, ConcurrentHitMissHammering) {
     results.push_back(served_of(result));
   }
 
-  serve::FlowCache cache;  // default config: 8 shards, ample budget
+  serve::FlowCache cache;  // default budget: ample
   constexpr int kThreads = 8;
   constexpr int kIters = 200;
   std::vector<std::thread> threads;

@@ -246,7 +246,6 @@ TEST(SocketServe, ConcurrentClientsShareTheCache) {
   const io::Json& cache = stats.at("serve").at("cache");
   EXPECT_EQ(cache.at("tiers").size(), 1u);
   EXPECT_EQ(cache.at("tiers").at(0).at("name").as_string(), "memory");
-  EXPECT_GE(cache.at("tiers").at(0).at("shards").size(), 1u);
   EXPECT_GE(stats.at("serve").at("latency").at("t1").at("count").as_number(),
             2);
 
