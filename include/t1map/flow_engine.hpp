@@ -1,10 +1,10 @@
 /// \file flow_engine.hpp
-/// \brief Public surface: the composable pass-pipeline flow API.
+/// \brief Public surface: the Table-I flow engine.
 ///
-/// `t1map::t1::FlowEngine` executes a `Pipeline` of `Pass` objects with
-/// reusable scratch state, structured `Diagnostics`, and deterministic
-/// batched execution (`run_many`).  This is the embedding point for
-/// services that map many circuits.
+/// `t1map::t1::FlowEngine` executes the fixed Table-I `Pipeline` of `Pass`
+/// objects with reusable scratch state, per-pass timings, structured
+/// `Diagnostics`, and deterministic batched execution (`run_many`).  This
+/// is the embedding point for services that map many circuits.
 
 #pragma once
 

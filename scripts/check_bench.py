@@ -14,7 +14,10 @@ PERF.md); stages whose snapshot time is below --min-ms are skipped entirely
 by code.  Each compared row also prints its max_ms/min_ms spread in the
 snapshot and in the fresh run: a flagged row whose spread is wide was
 measured through host noise, and a rerun is the first thing to try.  The
-spread is shown, not gated.
+spread is shown, not gated.  A snapshot stage at or above --min-ms that the
+fresh run lacks fails the gate (a renamed or dropped row would otherwise go
+unchecked); the one exception is the `cec` row when the fresh run was made
+without CEC (`"cec": false` at its root).
 
 Usage:
   check_bench.py SNAPSHOT.json FRESH.json [--max-ratio 1.25] [--min-ms 0.5]
@@ -49,7 +52,9 @@ def main() -> int:
         fresh = json.load(f)
 
     rows = []
+    missing = []
     skipped = 0
+    fresh_has_cec = fresh.get("cec", True)
     for name, circuit in snapshot.get("circuits", {}).items():
         fresh_circuit = fresh.get("circuits", {}).get(name)
         if fresh_circuit is None:
@@ -57,14 +62,23 @@ def main() -> int:
             continue
         for stage, sample in circuit.get("stages", {}).items():
             base = sample.get("min_ms", 0.0)
-            now_sample = fresh_circuit.get("stages", {}).get(stage)
-            if now_sample is None:  # e.g. cec present only with CEC enabled
-                continue
             if base < args.min_ms:
                 skipped += 1
                 continue
+            now_sample = fresh_circuit.get("stages", {}).get(stage)
+            if now_sample is None:
+                if stage != "cec" or fresh_has_cec:
+                    missing.append((name, stage))
+                continue
             rows.append((name, stage, base, now_sample.get("min_ms", 0.0),
                          spread(sample), spread(now_sample)))
+
+    if missing:
+        print(f"FAIL: {len(missing)} snapshot stage(s) at or above "
+              f"{args.min_ms} ms missing from the fresh run:")
+        for name, stage in missing:
+            print(f"  {name}/{stage}")
+        return 1
 
     if not rows:
         print("note: nothing to compare (empty overlap); passing")

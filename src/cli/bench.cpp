@@ -1,7 +1,9 @@
 #include "cli/bench.hpp"
 
+#include <array>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -11,7 +13,6 @@
 
 #include "cli/report.hpp"
 #include "common/require.hpp"
-#include "cut/cut_enum.hpp"
 #include "gen/registry.hpp"
 #include "io/json.hpp"
 #include "serve/json_out.hpp"
@@ -71,38 +72,46 @@ struct StageSamples {
   }
 };
 
+/// One per-circuit JSON row and the passes whose times it sums per run.
+struct BenchRow {
+  const char* name;
+  std::array<const char*, 2> passes;  // second entry may be null
+};
+
+/// The rows in output order; `total` (the whole run) follows them.
+constexpr BenchRow kRows[] = {
+    {"map", {"map"}},
+    {"t1_detect", {"t1"}},
+    {"stage_assign", {"stage"}},
+    {"dff_insert", {"dff"}},
+    {"self_check", {"timing", "sim"}},
+    {"cec", {"cec"}},
+};
+
 struct CircuitBench {
-  StageSamples cut_enum;  // standalone enumeration on the source AIG
-  StageSamples map;       // technology mapping (includes its own cut enum)
-  StageSamples t1_detect;
-  StageSamples stage_assign;
-  StageSamples dff_insert;
-  StageSamples self_check;
-  StageSamples cec;
+  std::array<StageSamples, std::size(kRows)> rows;
   StageSamples total;
 
-  /// Records one flow run: its per-pass times, plus `run_total`, the wall
-  /// clock measured around the run.
-  void add(const t1::EngineResult& flow, double run_total, bool with_cec) {
-    map.add(flow.times.map);
-    t1_detect.add(flow.times.t1_detect);
-    stage_assign.add(flow.times.stage_assign);
-    dff_insert.add(flow.times.dff_insert);
-    self_check.add(flow.times.self_check);
-    if (with_cec) cec.add(flow.times.cec);
-    total.add(run_total);
+  void add(const t1::EngineResult& flow) {
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      double seconds = 0.0;
+      for (const t1::PassTime& t : flow.pass_times) {
+        for (const char* pass : kRows[r].passes) {
+          if (pass != nullptr && t.pass == pass) seconds += t.seconds;
+        }
+      }
+      rows[r].add(seconds);
+    }
+    total.add(flow.total_seconds);
   }
 };
 
 io::Json bench_json(const CircuitBench& b, bool with_cec) {
   io::Json stages = io::Json::object();
-  stages.set("cut_enum", b.cut_enum.json());
-  stages.set("map", b.map.json());
-  stages.set("t1_detect", b.t1_detect.json());
-  stages.set("stage_assign", b.stage_assign.json());
-  stages.set("dff_insert", b.dff_insert.json());
-  stages.set("self_check", b.self_check.json());
-  if (with_cec) stages.set("cec", b.cec.json());
+  for (std::size_t r = 0; r < b.rows.size(); ++r) {
+    if (!with_cec && std::strcmp(kRows[r].name, "cec") == 0) continue;
+    stages.set(kRows[r].name, b.rows[r].json());
+  }
   stages.set("total", b.total.json());
   return stages;
 }
@@ -142,8 +151,7 @@ int run_bench(const Options& opts) {
   // One engine for the whole harness: its scratch state (cut arenas, SAT
   // solver, sim buffers) is reused across every --bench-runs repetition and
   // every circuit, which is exactly how a long-lived mapping service runs.
-  // The pipeline is the same one report mode would run (--passes is
-  // rejected in bench mode, so this is the skip_checks/CEC selection).
+  // The pipeline is the same one report mode would run.
   t1::FlowEngine engine(build_pipeline(opts));
 
   // What was measured, and on which host and build, so snapshots from
@@ -172,27 +180,12 @@ int run_bench(const Options& opts) {
     t1::FlowStats stats;
 
     for (int run = 0; run < opts.bench_runs; ++run) {
-      Clock::time_point t0 = Clock::now();
-      // Standalone cut enumeration over the source AIG, with the mapper's
-      // parameters.  The mapping stage repeats this internally; timing it
-      // separately isolates the enumerator from the covering DP.  The
-      // engine's arena is reused here too, so this stage also shows the
-      // scratch-reuse effect across runs.
-      {
-        enumerate_cuts_into(aig, params.mapper.cuts, engine.scratch().cuts);
-        bench.cut_enum.add(
-            std::chrono::duration<double>(Clock::now() - t0).count());
-      }
-
-      t0 = Clock::now();
       const t1::EngineResult flow = engine.run(aig, params);
-      const double run_total =
-          std::chrono::duration<double>(Clock::now() - t0).count();
       T1MAP_REQUIRE(flow.ok(), "bench: flow failed on " + name + ": " +
                                    flow.diagnostics.first_error());
       T1MAP_REQUIRE(!with_cec || flow.cec == "equivalent",
                     "bench: CEC did not prove equivalence on " + name);
-      bench.add(flow, run_total, with_cec);
+      bench.add(flow);
       stats = flow.stats;
     }
 

@@ -1,8 +1,8 @@
 #include "cli/options.hpp"
 
 #include <charconv>
-
-#include "t1/flow_engine.hpp"
+#include <string>
+#include <vector>
 
 namespace t1map::cli {
 
@@ -32,23 +32,6 @@ int parse_int(const std::string& flag, const std::string& value, int lo,
                      std::to_string(hi) + "], got " + std::to_string(parsed));
   }
   return parsed;
-}
-
-/// Validates a --passes list by running it through the engine's own parser
-/// (one grammar, no drift), so typos fail as usage errors — with the
-/// accepted names — before any flow runs.
-void validate_passes(const std::string& spec) {
-  try {
-    (void)t1::Pipeline::parse(spec);
-  } catch (const ContractError& e) {
-    std::string known;
-    for (const std::string& name : t1::Pipeline::known_passes()) {
-      if (!known.empty()) known += '|';
-      known += name;
-    }
-    throw UsageError("--passes: " + std::string(e.what()) +
-                     " (accepted: " + known + ")");
-  }
 }
 
 }  // namespace
@@ -95,9 +78,6 @@ Options parse_options(int argc, const char* const* argv) {
       opts.threads = parse_int(arg, value_of(i), 1, 256);
     } else if (arg == "--skip-checks") {
       opts.skip_checks = true;
-    } else if (arg == "--passes") {
-      opts.passes = value_of(i);
-      validate_passes(opts.passes);
     } else if (arg == "--bench") {
       opts.bench = true;
     } else if (arg == "--bench-runs") {
@@ -201,9 +181,9 @@ Options parse_options(int argc, const char* const* argv) {
       throw UsageError("--fuzz generates its own random circuits; "
                        "--gen/--input do not apply");
     }
-    if (!opts.passes.empty() || opts.skip_checks) {
+    if (opts.skip_checks) {
       throw UsageError("--fuzz always runs the full differential pipeline; "
-                       "--passes/--skip-checks do not apply");
+                       "--skip-checks does not apply");
     }
     if (opts.config != "all") {
       throw UsageError("--fuzz always runs all three configurations; "
@@ -221,10 +201,6 @@ Options parse_options(int argc, const char* const* argv) {
     }
     return opts;
   }
-  if (opts.skip_checks && !opts.passes.empty()) {
-    throw UsageError("--skip-checks and --passes both select the pipeline; "
-                     "use one of them");
-  }
   if (opts.serve) {
     if (opts.bench) {
       throw UsageError("--serve and --bench are different run modes; "
@@ -235,11 +211,6 @@ Options parse_options(int argc, const char* const* argv) {
     if (!opts.gen_name.empty() || !opts.input_path.empty()) {
       throw UsageError("--serve reads its circuits from the JSONL request "
                        "stream; --gen/--input do not apply");
-    }
-    if (!opts.passes.empty()) {
-      throw UsageError("--serve selects pipelines per request config; "
-                       "--passes does not apply (use --skip-checks to drop "
-                       "the verification stages)");
     }
     if (opts.config != "all") {
       throw UsageError("--serve jobs carry their own \"config\" field; "
@@ -266,11 +237,6 @@ Options parse_options(int argc, const char* const* argv) {
     return opts;
   }
   if (opts.bench) {
-    if (!opts.passes.empty()) {
-      throw UsageError("--bench times the fixed Table-I pipeline; --passes "
-                       "is a report-mode option (use --skip-checks to drop "
-                       "the verification stages)");
-    }
     // Bench mode runs a built-in circuit set; --gen narrows it to one
     // circuit, file input is not supported there.
     if (!opts.input_path.empty()) {
@@ -341,9 +307,6 @@ std::string usage() {
       "                              every thread count\n"
       "  --skip-checks               drop the verification passes (timing,\n"
       "                              random-sim, CEC) from the pipeline\n"
-      "  --passes LIST               explicit pass pipeline, comma-separated\n"
-      "                              (map,t1,stage,dff,timing,sim,cec);\n"
-      "                              overrides --no-cec, report mode only\n"
       "  --bench                     measure per-stage wall times and write\n"
       "                              a BENCH_flow.json trajectory file\n"
       "  --bench-runs N              repetitions per circuit (default 3;\n"
@@ -409,7 +372,6 @@ std::string usage() {
       "  t1map --serve --threads 4 --cache-mb 512\n"
       "  t1map --bench --bench-runs 5 --threads 4\n"
       "  t1map --gen adder16 --config all\n"
-      "  t1map --gen mul8 --passes map,t1,stage,dff --json\n"
       "  t1map --gen adder16 --config all --json\n"
       "  t1map --gen c6288 --phases 6 --config t1 --out-blif c6288_t1.blif\n"
       "  t1map --input design.blif --config t1 --out-dot design.dot\n"

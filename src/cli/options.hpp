@@ -28,8 +28,6 @@ struct Options {
   bool run_cec = true;         // --no-cec skips SAT equivalence checking
   int threads = 1;             // --threads N (batched / parallel execution)
   bool skip_checks = false;    // --skip-checks drops timing/sim/cec passes
-  std::string passes;          // --passes LIST (explicit pipeline, e.g.
-                               //   "map,t1,stage,dff"; empty = default)
 
   // Bench harness (perf trajectory; see PERF.md).
   bool bench = false;           // --bench (per-stage wall-time measurement)

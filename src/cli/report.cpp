@@ -47,7 +47,6 @@ std::vector<std::string> selected_configs(const Options& opts) {
 }
 
 t1::Pipeline build_pipeline(const Options& opts) {
-  if (!opts.passes.empty()) return t1::Pipeline::parse(opts.passes);
   return t1::Pipeline::default_flow(opts.run_cec, opts.skip_checks);
 }
 
@@ -126,7 +125,7 @@ io::Json report_json(const Report& report) {
       j.set(key, value);
     }
     j.set("cec", c.flow.cec);
-    j.set("seconds", c.flow.times.total_wall);
+    j.set("seconds", c.flow.total_seconds);
     configs.set(c.key, std::move(j));
   }
   root.set("configs", std::move(configs));
@@ -176,7 +175,7 @@ std::string report_text(const Report& report, bool with_paper) {
                   "%-16s %6d %8d %8ld %9ld %9ld %6ld %6d %12s %7.2fs\n",
                   c.key.c_str(), c.params.num_phases, s.t1_used,
                   s.logic_cells, s.splitters, s.dffs, s.area_jj,
-                  s.depth_cycles, c.flow.cec.c_str(), c.flow.times.total_wall);
+                  s.depth_cycles, c.flow.cec.c_str(), c.flow.total_seconds);
     os << line;
   }
 

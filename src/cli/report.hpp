@@ -18,7 +18,8 @@ namespace t1map::cli {
 struct ConfigResult {
   std::string key;  // "baseline_1phi", "baseline_<n>phi" or "t1"
   t1::FlowParams params;
-  t1::EngineResult flow;  // `flow.cec` and `flow.times` feed the report
+  t1::EngineResult flow;  // `flow.cec` and `flow.total_seconds` feed the
+                          //   report
 };
 
 /// The full run: input summary plus every executed configuration.
@@ -37,9 +38,9 @@ struct Report {
 /// canonical order (1phi, nphi, t1).
 std::vector<std::string> selected_configs(const Options& opts);
 
-/// The pass pipeline `opts` selects: `--passes` verbatim, else the default
-/// flow minus the verification stages under `--skip-checks`, with SAT CEC
-/// appended unless `--no-cec`.
+/// The pass pipeline `opts` selects: the default flow minus the
+/// verification stages under `--skip-checks`, with SAT CEC appended unless
+/// `--no-cec`.
 t1::Pipeline build_pipeline(const Options& opts);
 
 /// Flow parameters for one configuration key.

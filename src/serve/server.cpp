@@ -48,11 +48,6 @@ int int_field(const io::Json& request, const char* name, int fallback, int lo,
   return static_cast<int>(value);
 }
 
-double stage_times_ms(const t1::StageTimes& t) {
-  return 1e3 * (t.map + t.t1_detect + t.stage_assign + t.dff_insert +
-                t.self_check + t.cec);
-}
-
 void write_cache_stats_fields(io::JsonWriter& w, const CacheStats& c) {
   w.key("hits").value(c.hits).key("misses").value(c.misses);
   w.key("insertions").value(c.insertions);
@@ -72,7 +67,7 @@ struct Server::Job {
   std::string config_name = "t1";  // latency-histogram key
   Aig aig;
   t1::FlowParams params;
-  std::string pipeline;  // Pipeline::spec() of the passes the job runs
+  bool with_cec = false;  // the job's pipeline appends SAT CEC
   CacheKey key;
   std::uint64_t group = 0;  // configuration fingerprint (grouping key)
   // Outcome.  A hit fills only `served`; a computed job also sets `ms`,
@@ -174,10 +169,10 @@ Server::Job Server::parse_request(const std::string& line, std::uint64_t seq,
                   "the t1 config needs phases >= 3");
     job.params.verify_rounds = int_field(request, "verify_rounds",
                                          defaults.verify_rounds, 0, 1 << 20);
-    bool with_cec = defaults.cec;
-    if (const io::Json* cec = request.find("cec")) with_cec = cec->as_bool();
-    job.pipeline =
-        t1::Pipeline::default_flow(with_cec, defaults.skip_checks).spec();
+    job.with_cec = defaults.cec;
+    if (const io::Json* cec = request.find("cec")) {
+      job.with_cec = cec->as_bool();
+    }
   } catch (const ContractError& e) {
     job.error = e.what();
     return job;
@@ -185,8 +180,10 @@ Server::Job Server::parse_request(const std::string& line, std::uint64_t seq,
 
   // `group` keys the run_many batching (same configuration => same group),
   // the full `key` addresses the cache.
-  job.group = config_fingerprint(job.params, job.pipeline);
-  job.key = cache_key(hasher.hash(job.aig), job.params, job.pipeline);
+  const std::string spec =
+      t1::Pipeline::default_flow(job.with_cec, defaults.skip_checks).spec();
+  job.group = config_fingerprint(job.params, spec);
+  job.key = cache_key(hasher.hash(job.aig), job.params, spec);
   return job;
 }
 
@@ -232,14 +229,15 @@ void Server::process_batch(t1::FlowEngine& engine, std::vector<Job>& batch) {
     if (!misses.empty()) {
       std::vector<const Aig*> aigs;
       for (const std::size_t m : misses) aigs.push_back(&batch[m].aig);
-      engine.set_pipeline(t1::Pipeline::parse(first.pipeline));
+      engine.set_pipeline(t1::Pipeline::default_flow(
+          first.with_cec, config_.defaults.skip_checks));
       const std::vector<t1::EngineResult> results =
           engine.run_many(aigs, first.params, config_.threads);
       for (std::size_t k = 0; k < misses.size(); ++k) {
         Job& job = batch[misses[k]];
         const t1::EngineResult& result = results[k];
         job.status = result.status;
-        job.ms = stage_times_ms(result.times);
+        job.ms = 1e3 * result.total_seconds;
         // Only ok-results are stored: a failed run has no stats to serve.
         if (!result.ok()) {
           job.failure = result.diagnostics.first_error();

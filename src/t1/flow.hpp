@@ -54,16 +54,4 @@ struct FlowStats {
   int num_stages = 0;     // σ_PO
 };
 
-/// Wall-clock seconds per flow stage, filled by every `FlowEngine` run (the
-/// bench harness aggregates these into `BENCH_flow.json`).
-struct StageTimes {
-  double map = 0.0;          // technology mapping (incl. cut enumeration)
-  double t1_detect = 0.0;    // T1 detection + substitution
-  double stage_assign = 0.0; // phase assignment (§II-B)
-  double dff_insert = 0.0;   // DFF materialization (§II-C)
-  double self_check = 0.0;   // timing validation + random-sim equivalence
-  double cec = 0.0;          // SAT CEC, when the pipeline includes the pass
-  double total_wall = 0.0;   // wall-clock of the whole pipeline
-};
-
 }  // namespace t1map::t1

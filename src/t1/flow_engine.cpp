@@ -236,39 +236,6 @@ bool SatCecPass::run(FlowContext& ctx) const {
 
 // --- Pipeline ----------------------------------------------------------------
 
-namespace {
-
-/// The single name -> factory registry `make_pass` and `known_passes`
-/// both derive from, so the two can never drift.
-struct PassEntry {
-  const char* name;
-  std::unique_ptr<Pass> (*make)();
-};
-
-template <class P>
-std::unique_ptr<Pass> make_concrete() {
-  return std::make_unique<P>();
-}
-
-constexpr PassEntry kPassRegistry[] = {
-    {"map", &make_concrete<MapPass>},
-    {"t1", &make_concrete<T1DetectPass>},
-    {"stage", &make_concrete<StageAssignPass>},
-    {"dff", &make_concrete<DffInsertPass>},
-    {"timing", &make_concrete<TimingCheckPass>},
-    {"sim", &make_concrete<SimEquivPass>},
-    {"cec", &make_concrete<SatCecPass>},
-};
-
-}  // namespace
-
-std::unique_ptr<Pass> make_pass(const std::string& name) {
-  for (const PassEntry& entry : kPassRegistry) {
-    if (name == entry.name) return entry.make();
-  }
-  return nullptr;
-}
-
 Pipeline& Pipeline::add(std::unique_ptr<Pass> pass) {
   T1MAP_REQUIRE(pass != nullptr, "Pipeline::add: null pass");
   passes_.push_back(std::move(pass));
@@ -295,47 +262,6 @@ Pipeline Pipeline::default_flow(bool with_cec, bool skip_checks) {
       .add(std::make_unique<SimEquivPass>());
   if (with_cec) p.add(std::make_unique<SatCecPass>());
   return p;
-}
-
-Pipeline Pipeline::parse(const std::string& spec) {
-  // Errors are thrown directly (no T1MAP_REQUIRE source-location prefix):
-  // the CLI surfaces this text verbatim in its usage error.
-  Pipeline p;
-  std::vector<std::string> seen;
-  std::size_t begin = 0;
-  while (begin <= spec.size()) {
-    std::size_t end = spec.find(',', begin);
-    if (end == std::string::npos) end = spec.size();
-    const std::string name = spec.substr(begin, end - begin);
-    std::unique_ptr<Pass> pass = make_pass(name);
-    if (pass == nullptr) {
-      throw ContractError("unknown pass '" + name + "' in '" + spec + "'");
-    }
-    // Ordering is statically checkable for spec-built pipelines, so an
-    // ill-ordered list fails here as a clean message instead of a run-time
-    // contract violation mid-flow.
-    if (const char* needed = pass->requires_pass()) {
-      bool satisfied = false;
-      for (const std::string& prior : seen) satisfied |= prior == needed;
-      if (!satisfied) {
-        throw ContractError("pass '" + name + "' requires '" + needed +
-                            "' earlier in the pipeline '" + spec + "'");
-      }
-    }
-    seen.push_back(name);
-    p.add(std::move(pass));
-    begin = end + 1;
-  }
-  return p;
-}
-
-const std::vector<std::string>& Pipeline::known_passes() {
-  static const std::vector<std::string> names = [] {
-    std::vector<std::string> out;
-    for (const PassEntry& entry : kPassRegistry) out.emplace_back(entry.name);
-    return out;
-  }();
-  return names;
 }
 
 // --- Params fingerprint ------------------------------------------------------
@@ -385,18 +311,19 @@ EngineResult FlowEngine::run_with(const Pipeline& pipeline, const Aig& aig,
   ctx.params = params;
   ctx.scratch = &scratch;
 
+  ctx.pass_times.reserve(pipeline.size());
   const Clock::time_point flow_start = Clock::now();
   for (std::size_t i = 0; i < pipeline.size(); ++i) {
     const Pass& pass = pipeline[i];
     const Clock::time_point t0 = Clock::now();
     const bool keep_going = pass.run(ctx);
-    ctx.times.*pass.time_slot() += seconds_between(t0, Clock::now());
+    ctx.pass_times.push_back({pass.name(), seconds_between(t0, Clock::now())});
     if (!keep_going) {
       T1MAP_ASSERT(ctx.status != FlowStatus::kOk);
       break;
     }
   }
-  ctx.times.total_wall = seconds_between(flow_start, Clock::now());
+  ctx.total_seconds = seconds_between(flow_start, Clock::now());
   // Moves the outputs out; the inputs and intermediate state stay behind.
   return std::move(static_cast<EngineResult&>(ctx));
 }

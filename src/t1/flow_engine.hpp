@@ -1,21 +1,24 @@
 /// \file flow_engine.hpp
-/// \brief Composable pass-pipeline API over the Table-I flow.
+/// \brief The Table-I flow as a fixed pipeline of passes.
 ///
 /// `FlowEngine` is the one way to run the flow: it owns reusable scratch
 /// state (cut-enumeration arenas, the SAT solver, simulation buffers) and
-/// executes an explicit `Pipeline` of `Pass` objects over a shared
-/// `FlowContext`.  A fresh engine per call gives a cold one-shot run.
+/// executes a `Pipeline` of `Pass` objects over a shared `FlowContext`,
+/// timing each pass.  The pipeline has the paper's fixed order (map, t1,
+/// stage, dff, then the checks); `Pipeline::default_flow` builds it.  A
+/// fresh engine per call gives a cold one-shot run.
 ///
 /// Design points:
 ///   * Passes are stateless and const; all evolving data lives in the
 ///     `FlowContext` and all reusable allocations in the `FlowScratch`, so
 ///     one `Pipeline` can drive many worker threads concurrently.
 ///   * The verification stages (timing validation, random-simulation
-///     equivalence, SAT CEC) are ordinary pipeline passes: individually
-///     toggleable, and reporting failures as structured `Diagnostic`
-///     records plus a `FlowStatus` the caller inspects — not bare throws.
-///     Contract violations on API misuse (e.g. a pipeline that inserts DFFs
-///     before mapping) still throw `ContractError`.
+///     equivalence, SAT CEC) are ordinary pipeline passes: `default_flow`
+///     appends CEC on request or drops all three, and they report failures
+///     as structured `Diagnostic` records plus a `FlowStatus` the caller
+///     inspects — not bare throws.  Contract violations on API misuse
+///     (e.g. a pipeline that inserts DFFs before mapping) still throw
+///     `ContractError` from the pass's own input checks.
 ///   * `FlowEngine::run_many` executes the pipeline over a batch of AIGs on
 ///     a thread pool with per-thread scratch; results are index-aligned and
 ///     bit-for-bit independent of the thread count.
@@ -110,6 +113,12 @@ struct ReuseCounters {
   bool stage_spliced = false;          // always false
 };
 
+/// Wall-clock seconds one pass took in one run.
+struct PassTime {
+  std::string pass;  // Pass::name()
+  double seconds = 0.0;
+};
+
 /// Reusable per-thread scratch: every allocation-heavy substrate the passes
 /// touch.  Reset-and-reuse semantics — holding one `FlowScratch` across
 /// thousands of runs stops paying arena growth after the first.
@@ -139,7 +148,10 @@ struct EngineResult {
   bool has_materialized = false;
   retime::MaterializeResult materialized;
   FlowStats stats;
-  StageTimes times;
+  /// One entry per pass that ran, in pipeline order (a failed run ends at
+  /// the failing pass), and the wall clock of the whole run.
+  std::vector<PassTime> pass_times;
+  double total_seconds = 0.0;
   Diagnostics diagnostics;
   ReuseCounters reuse;  // Ignored; kept for perfbench.  Always zero.
   std::string cec = "skipped";  // SatCecPass verdict when the pass ran
@@ -171,23 +183,17 @@ struct FlowContext : EngineResult {
 
 /// One pipeline stage.  Implementations are stateless (configuration comes
 /// from `ctx.params`), so a single instance may serve concurrent contexts.
+/// Each pass checks its own inputs with `T1MAP_REQUIRE` (e.g. `dff` needs a
+/// stage assignment), so an ill-ordered pipeline throws `ContractError`.
 class Pass {
  public:
   virtual ~Pass() = default;
-  /// Stable identifier: used by `Pipeline::parse`, diagnostics and docs.
+  /// Stable identifier: keys diagnostics, `PassTime` entries and
+  /// `Pipeline::spec()`.
   virtual const char* name() const = 0;
   /// Executes on `ctx`.  Returns false to stop the pipeline after recording
   /// a structured failure via `ctx.fail`; throws only on API misuse.
   virtual bool run(FlowContext& ctx) const = 0;
-  /// The `StageTimes` bucket this pass accumulates into.
-  virtual double StageTimes::* time_slot() const {
-    return &StageTimes::self_check;
-  }
-  /// Name of the pass that must appear earlier in a pipeline for this one
-  /// to find its inputs (nullptr = none).  `Pipeline::parse` rejects specs
-  /// that violate it; the run-time `T1MAP_REQUIRE`s in `run` stay the
-  /// authority for programmatically composed pipelines.
-  virtual const char* requires_pass() const { return nullptr; }
 };
 
 /// Technology mapping (AIG → SFQ cells), including cut enumeration.
@@ -195,7 +201,6 @@ class MapPass final : public Pass {
  public:
   const char* name() const override { return "map"; }
   bool run(FlowContext& ctx) const override;
-  double StageTimes::* time_slot() const override { return &StageTimes::map; }
 };
 
 /// T1 detection + substitution (no-op when `params.use_t1` is false).
@@ -203,10 +208,6 @@ class T1DetectPass final : public Pass {
  public:
   const char* name() const override { return "t1"; }
   bool run(FlowContext& ctx) const override;
-  double StageTimes::* time_slot() const override {
-    return &StageTimes::t1_detect;
-  }
-  const char* requires_pass() const override { return "map"; }
 };
 
 /// Multiphase stage assignment (§II-B).
@@ -214,10 +215,6 @@ class StageAssignPass final : public Pass {
  public:
   const char* name() const override { return "stage"; }
   bool run(FlowContext& ctx) const override;
-  double StageTimes::* time_slot() const override {
-    return &StageTimes::stage_assign;
-  }
-  const char* requires_pass() const override { return "map"; }
 };
 
 /// DFF materialization (§II-C) + Table-I statistics.
@@ -225,10 +222,6 @@ class DffInsertPass final : public Pass {
  public:
   const char* name() const override { return "dff"; }
   bool run(FlowContext& ctx) const override;
-  double StageTimes::* time_slot() const override {
-    return &StageTimes::dff_insert;
-  }
-  const char* requires_pass() const override { return "stage"; }
 };
 
 /// Independent timing validation of the materialized netlist.
@@ -236,7 +229,6 @@ class TimingCheckPass final : public Pass {
  public:
   const char* name() const override { return "timing"; }
   bool run(FlowContext& ctx) const override;
-  const char* requires_pass() const override { return "dff"; }
 };
 
 /// Random-simulation equivalence against the source AIG
@@ -245,7 +237,6 @@ class SimEquivPass final : public Pass {
  public:
   const char* name() const override { return "sim"; }
   bool run(FlowContext& ctx) const override;
-  const char* requires_pass() const override { return "dff"; }
 };
 
 /// SAT CEC of the materialized netlist against the source AIG; records the
@@ -254,12 +245,7 @@ class SatCecPass final : public Pass {
  public:
   const char* name() const override { return "cec"; }
   bool run(FlowContext& ctx) const override;
-  double StageTimes::* time_slot() const override { return &StageTimes::cec; }
-  const char* requires_pass() const override { return "dff"; }
 };
-
-/// Factory over the pass registry; nullptr for unknown names.
-std::unique_ptr<Pass> make_pass(const std::string& name);
 
 /// Platform-stable 64-bit fingerprint of every `FlowParams` field that
 /// influences the mapped result or its recorded verdicts.  Two parameter
@@ -278,7 +264,8 @@ void for_each_with_scratch(
 
 // --- Pipeline ----------------------------------------------------------------
 
-/// An ordered, owned sequence of passes.  Move-only.
+/// An ordered, owned sequence of passes.  Move-only.  Flows come from
+/// `default_flow`; `add` composes others (tests inject failing passes).
 class Pipeline {
  public:
   Pipeline() = default;
@@ -290,7 +277,7 @@ class Pipeline {
   std::size_t size() const { return passes_.size(); }
   bool empty() const { return passes_.empty(); }
   const Pass& operator[](std::size_t i) const { return *passes_[i]; }
-  /// Comma-joined pass names, `parse`-compatible.
+  /// Comma-joined pass names (the serve cache key folds this in).
   std::string spec() const;
 
   /// The Table-I flow a default `FlowEngine` runs:
@@ -300,11 +287,6 @@ class Pipeline {
   /// pipeline here.
   static Pipeline default_flow(bool with_cec = false,
                                bool skip_checks = false);
-  /// Builds from a comma-separated name list (e.g. "map,t1,stage,dff").
-  /// Throws ContractError on unknown or empty names.
-  static Pipeline parse(const std::string& spec);
-  /// Every name `parse`/`make_pass` accepts, in canonical flow order.
-  static const std::vector<std::string>& known_passes();
 
  private:
   std::vector<std::unique_ptr<Pass>> passes_;
