@@ -4,9 +4,17 @@ namespace t1map {
 
 std::vector<std::uint64_t> simulate_nodes(
     const Aig& aig, std::span<const std::uint64_t> pi_words) {
+  std::vector<std::uint64_t> value;
+  simulate_nodes_into(aig, pi_words, value);
+  return value;
+}
+
+void simulate_nodes_into(const Aig& aig,
+                         std::span<const std::uint64_t> pi_words,
+                         std::vector<std::uint64_t>& value) {
   T1MAP_REQUIRE(pi_words.size() == aig.num_pis(),
                 "simulate: need one word per PI");
-  std::vector<std::uint64_t> value(aig.num_nodes(), 0);
+  value.assign(aig.num_nodes(), 0);
   for (std::uint32_t i = 0; i < aig.num_pis(); ++i) {
     value[aig.pis()[i]] = pi_words[i];
   }
@@ -20,7 +28,6 @@ std::vector<std::uint64_t> simulate_nodes(
         lit_is_complemented(f1) ? ~value[lit_node(f1)] : value[lit_node(f1)];
     value[n] = a & b;
   }
-  return value;
 }
 
 std::vector<std::uint64_t> simulate(const Aig& aig,

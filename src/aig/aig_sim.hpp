@@ -26,6 +26,12 @@ std::vector<std::uint64_t> simulate(const Aig& aig,
 std::vector<std::uint64_t> simulate_nodes(
     const Aig& aig, std::span<const std::uint64_t> pi_words);
 
+/// As `simulate_nodes`, into a caller-owned buffer (resized to
+/// `aig.num_nodes()`), so repeated simulations reuse one allocation.
+void simulate_nodes_into(const Aig& aig,
+                         std::span<const std::uint64_t> pi_words,
+                         std::vector<std::uint64_t>& value);
+
 /// Exhaustive PO truth tables for AIGs with at most 6 PIs.
 std::vector<Tt> exhaustive_po_tts(const Aig& aig);
 

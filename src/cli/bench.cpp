@@ -3,7 +3,6 @@
 #include <array>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -92,24 +91,31 @@ struct CircuitBench {
   std::array<StageSamples, std::size(kRows)> rows;
   StageSamples total;
 
+  /// A row takes a sample only from runs in which one of its passes ran.
   void add(const t1::EngineResult& flow) {
     for (std::size_t r = 0; r < rows.size(); ++r) {
       double seconds = 0.0;
+      bool ran = false;
       for (const t1::PassTime& t : flow.pass_times) {
         for (const char* pass : kRows[r].passes) {
-          if (pass != nullptr && t.pass == pass) seconds += t.seconds;
+          if (pass != nullptr && t.pass == pass) {
+            seconds += t.seconds;
+            ran = true;
+          }
         }
       }
-      rows[r].add(seconds);
+      if (ran) rows[r].add(seconds);
     }
     total.add(flow.total_seconds);
   }
 };
 
-io::Json bench_json(const CircuitBench& b, bool with_cec) {
+/// Rows whose passes never ran (`cec` under --no-cec, `self_check` under
+/// --skip-checks) are left out rather than reported as 0 ms.
+io::Json bench_json(const CircuitBench& b) {
   io::Json stages = io::Json::object();
   for (std::size_t r = 0; r < b.rows.size(); ++r) {
-    if (!with_cec && std::strcmp(kRows[r].name, "cec") == 0) continue;
+    if (b.rows[r].count == 0) continue;
     stages.set(kRows[r].name, b.rows[r].json());
   }
   stages.set("total", b.total.json());
@@ -192,7 +198,7 @@ int run_bench(const Options& opts) {
     io::Json entry = io::Json::object();
     entry.set("input", serve::aig_input_json(aig, /*with_depth=*/false));
     entry.set("stats", serve::flow_stats_json(stats));
-    entry.set("stages", bench_json(bench, with_cec));
+    entry.set("stages", bench_json(bench));
     circuits_json.set(name, std::move(entry));
 
     std::fprintf(stderr, "t1map: bench %-14s total %.1f ms (mean of %d)\n",

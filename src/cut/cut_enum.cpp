@@ -39,6 +39,39 @@ bool leaves_subset(std::span<const std::uint32_t> a,
 
 namespace detail {
 
+namespace {
+
+/// For each target size `n`, position mask `mask` < 2^n and source table
+/// `bits` over the mask's popcount m: output row `i` reads source row
+/// `src(i)`, whose bit v is bit `where[v]` of `i` (`where[v]` = the v-th set
+/// bit of `mask`) — the same remap `expand_to_leaves` performs.
+constexpr ExpandTable build_expand_table() {
+  ExpandTable table{};
+  for (int n = 1; n <= kExpandTableLeaves; ++n) {
+    for (unsigned mask = 0; mask < (1u << n); ++mask) {
+      int where[kExpandTableLeaves] = {};
+      int m = 0;
+      for (int p = 0; p < n; ++p) {
+        if ((mask >> p) & 1u) where[m++] = p;
+      }
+      for (unsigned bits = 0; bits < (1u << (1u << m)); ++bits) {
+        unsigned out = 0;
+        for (unsigned i = 0; i < (1u << n); ++i) {
+          unsigned src = 0;
+          for (int v = 0; v < m; ++v) src |= ((i >> where[v]) & 1u) << v;
+          out |= ((bits >> src) & 1u) << i;
+        }
+        table[n][mask][bits] = static_cast<std::uint8_t>(out);
+      }
+    }
+  }
+  return table;
+}
+
+}  // namespace
+
+constinit const ExpandTable kExpandTable = build_expand_table();
+
 void prune_dominated(CutScratch& scratch, int max_cuts) {
   auto& fresh = scratch.fresh;
   auto& kept = scratch.kept;  // kept[0] is the trivial cut, never dominated

@@ -175,12 +175,38 @@ struct CutScratch {
   std::vector<Cut> kept;
 };
 
+/// Largest target leaf count `kExpandTable` covers (k <= 3 covers both the
+/// mapper's and the T1 detector's cuts).
+inline constexpr int kExpandTableLeaves = 3;
+
+/// `kExpandTable[n][mask][bits]` is the function with truth table `bits`
+/// over `popcount(mask)` variables re-expressed over `n` variables, source
+/// variable i landing on the i-th set bit of `mask` — `expand_to_leaves`
+/// for every target of at most 3 leaves, precomputed (8 KB).  Entries with
+/// `mask >= 2^n` or `bits >= 2^(2^popcount(mask))` are unused zeros.
+using ExpandTable = std::array<std::array<std::array<std::uint8_t, 256>, 8>,
+                               kExpandTableLeaves + 1>;
+extern const ExpandTable kExpandTable;
+
 /// The cut function re-expressed over the superset leaf list `to`.  Both
 /// lists are sorted (`cut.leaves` ⊆ `to`), so equal sizes mean identical
-/// lists and the remap is skipped entirely.
+/// lists and the remap is skipped entirely.  Up to 3 target leaves one
+/// merged walk finds where each leaf lands and `kExpandTable` does the rest;
+/// larger targets fall back to `expand_to_leaves`.
 inline Tt expand_cut_tt(const Cut& cut, const CutLeaves& to) {
   if (cut.leaves.size() == to.size()) return cut.tt;
-  return expand_to_leaves(cut.tt, cut.leaves, to);
+  const int nto = static_cast<int>(to.size());
+  if (nto > kExpandTableLeaves) {
+    return expand_to_leaves(cut.tt, cut.leaves, to);
+  }
+  unsigned mask = 0;
+  std::size_t j = 0;
+  for (const std::uint32_t leaf : cut.leaves) {
+    while (to[j] < leaf) ++j;
+    T1MAP_ASSERT(to[j] == leaf);
+    mask |= 1u << j++;
+  }
+  return Tt(nto, kExpandTable[nto][mask][cut.tt.bits()]);
 }
 
 /// Dominance filter: `scratch.fresh` (sorted by size then lex leaves) is
@@ -204,7 +230,9 @@ void enumerate_node_cuts(const Ntk& ntk, const CutParams& params,
   ntk.cut_fanins(node, fanin, nf);
   T1MAP_ASSERT(nf >= 1 && nf <= 3);
   const Tt local = ntk.cut_local_tt(node);
-  T1MAP_ASSERT(local.num_vars() == nf);
+  // Checked once here, so the per-cut compose below can skip it.
+  T1MAP_REQUIRE(local.num_vars() == nf,
+                "compose: local arity must match fanin count");
 
   CutLeaves merged;
   CutLeaves all;
@@ -219,7 +247,7 @@ void enumerate_node_cuts(const Ntk& ntk, const CutParams& params,
         const Tt fanin_tt[1] = {a.tt};
         scratch.fresh.push_back(
             Cut{a.leaves, a.sig,
-                compose(local, std::span<const Tt>(fanin_tt, 1))});
+                compose_unchecked(local, fanin_tt, a.tt.num_vars())});
       }
       break;
     }
@@ -230,11 +258,12 @@ void enumerate_node_cuts(const Ntk& ntk, const CutParams& params,
           const std::uint64_t sig = a.sig | b.sig;
           if (__builtin_popcountll(sig) > params.k) continue;
           if (!merge_leaves(a.leaves, b.leaves, params.k, merged)) continue;
-          Tt fanin_tts[2] = {detail::expand_cut_tt(a, merged),
-                             detail::expand_cut_tt(b, merged)};
+          const Tt fanin_tts[2] = {expand_cut_tt(a, merged),
+                                   expand_cut_tt(b, merged)};
           scratch.fresh.push_back(
               Cut{merged, sig,
-                  compose(local, std::span<const Tt>(fanin_tts, 2))});
+                  compose_unchecked(local, fanin_tts,
+                                    static_cast<int>(merged.size()))});
         }
       }
       break;
@@ -252,12 +281,13 @@ void enumerate_node_cuts(const Ntk& ntk, const CutParams& params,
             const std::uint64_t sig = sig_ab | c.sig;
             if (__builtin_popcountll(sig) > params.k) continue;
             if (!merge_leaves(merged, c.leaves, params.k, all)) continue;
-            Tt fanin_tts[3] = {detail::expand_cut_tt(a, all),
-                               detail::expand_cut_tt(b, all),
-                               detail::expand_cut_tt(c, all)};
+            const Tt fanin_tts[3] = {expand_cut_tt(a, all),
+                                     expand_cut_tt(b, all),
+                                     expand_cut_tt(c, all)};
             scratch.fresh.push_back(
                 Cut{all, sig,
-                    compose(local, std::span<const Tt>(fanin_tts, 3))});
+                    compose_unchecked(local, fanin_tts,
+                                      static_cast<int>(all.size()))});
           }
         }
       }

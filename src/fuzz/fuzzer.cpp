@@ -231,8 +231,10 @@ std::string dump_repro(const FuzzOptions& options, const FuzzFailure& failure) {
   }
 }
 
-RandomAigOptions jitter(const RandomAigOptions& base, std::uint64_t seed,
-                        int iteration) {
+}  // namespace
+
+RandomAigOptions iteration_aig_options(const RandomAigOptions& base,
+                                       std::uint64_t seed, int iteration) {
   // Derive a per-iteration generator spec: fresh seed, sizes spread across
   // (not just at) the configured bounds so one run covers many shapes.
   Rng rng(seed ^ (0x9E3779B97F4A7C15ull * (iteration + 1)));
@@ -248,8 +250,6 @@ RandomAigOptions jitter(const RandomAigOptions& base, std::uint64_t seed,
   return aig;
 }
 
-}  // namespace
-
 FuzzReport run_fuzz(const FuzzOptions& options) {
   T1MAP_REQUIRE(options.iterations >= 1, "--fuzz needs at least 1 iteration");
   T1MAP_REQUIRE(options.phases >= 3,
@@ -262,7 +262,7 @@ FuzzReport run_fuzz(const FuzzOptions& options) {
 
   for (int iter = 0; iter < options.iterations; ++iter) {
     const RandomAigOptions aig_options =
-        jitter(options.aig, options.seed, iter);
+        iteration_aig_options(options.aig, options.seed, iter);
     const Aig aig = random_aig(aig_options);
 
     // Format round trips (flow-independent).

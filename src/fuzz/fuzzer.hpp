@@ -74,4 +74,11 @@ struct FuzzReport {
 /// Runs the differential fuzzer.  Deterministic for fixed options.
 FuzzReport run_fuzz(const FuzzOptions& options);
 
+/// The generator options `run_fuzz` draws iteration `iteration`'s AIG from,
+/// for a run seeded `seed` over the size template `base`: a fresh AIG seed,
+/// sizes spread below `base`'s bounds.  Lets a test replay a fuzz run's
+/// inputs without running its checks.
+RandomAigOptions iteration_aig_options(const RandomAigOptions& base,
+                                       std::uint64_t seed, int iteration);
+
 }  // namespace t1map::fuzz

@@ -34,30 +34,60 @@ MaterializeResult insert_dffs(const Netlist& ntk, const StageAssignment& sa) {
     return new_id;
   };
 
-  // Shared chain bookkeeping: per original driver, materialized ids of chain
-  // elements 1..k (built lazily, in consumer order — topologically sound
-  // because every consumer has a larger stage than any chain DFF it needs).
-  std::vector<std::vector<std::uint32_t>> chain(ntk.num_nodes());
-
   const auto producer_sigma = [&](std::uint32_t u) {
     return ntk.is_const(u) ? kNoStage : sa.sigma[u];
   };
+  /// Chain element a consumer at stage sv taps on a driver at su (0: none).
+  const auto chain_depth = [&](int su, int sv) {
+    return std::max(0, ceil_div(sv - su, n) - 1);
+  };
+  /// The nodes whose fanins are rewired through shared chains (the
+  /// `default` case below): logic cells and DFFs.
+  const auto is_chained_consumer = [&](std::uint32_t v) {
+    return !ntk.is_pi(v) && !ntk.is_const(v) && !ntk.is_t1(v) &&
+           !ntk.is_tap(v);
+  };
+
+  // Shared chain bookkeeping: per original driver, one slot per chain
+  // element 1..k in a flat array, sized from the closed-form chain length
+  // (the deepest element any consumer or PO taps) and filled lazily, in
+  // consumer order — topologically sound because every consumer has a
+  // larger stage than any chain DFF it needs.  `built[u]` counts the
+  // elements of u's chain materialized so far.
+  std::vector<std::uint32_t> chain_begin(ntk.num_nodes() + 1, 0);
+  const auto need = [&](std::uint32_t u, int sv) {
+    const int su = producer_sigma(u);
+    if (su == kNoStage) return;
+    const auto d = static_cast<std::uint32_t>(chain_depth(su, sv));
+    chain_begin[u + 1] = std::max(chain_begin[u + 1], d);
+  };
+  for (std::uint32_t v = 0; v < ntk.num_nodes(); ++v) {
+    if (!is_chained_consumer(v)) continue;
+    for (const std::uint32_t u : ntk.fanins(v)) need(u, sa.sigma[v]);
+  }
+  for (const auto& po : ntk.pos()) need(po.driver, sa.sigma_po);
+  for (std::uint32_t u = 0; u < ntk.num_nodes(); ++u) {
+    chain_begin[u + 1] += chain_begin[u];
+  }
+  std::vector<std::uint32_t> chain(chain_begin.back());
+  std::vector<std::uint32_t> built(ntk.num_nodes(), 0);
 
   /// Materialized signal for edge u -> (consumer at stage sv).
   const auto edge_signal = [&](std::uint32_t u, int sv) -> std::uint32_t {
     const int su = producer_sigma(u);
     if (su == kNoStage) return result.node_map[u];  // constants: direct
-    const int d = std::max(0, ceil_div(sv - su, n) - 1);
+    const int d = chain_depth(su, sv);
     if (d == 0) return result.node_map[u];
-    auto& c = chain[u];
-    while (static_cast<int>(c.size()) < d) {
-      const std::uint32_t prev =
-          c.empty() ? result.node_map[u] : c.back();
+    std::uint32_t* c = chain.data() + chain_begin[u];
+    std::uint32_t& count = built[u];
+    T1MAP_ASSERT(chain_begin[u] + d <= chain_begin[u + 1]);
+    while (static_cast<int>(count) < d) {
+      const std::uint32_t prev = count == 0 ? result.node_map[u] : c[count - 1];
       const std::uint32_t dff = out.add_cell(CellKind::kDff, {prev});
-      const int stage = su + static_cast<int>(c.size() + 1) * n;
+      const int stage = su + static_cast<int>(count + 1) * n;
       put(dff, stage);
       ++result.num_dffs;
-      c.push_back(dff);
+      c[count++] = dff;
     }
     return c[d - 1];
   };

@@ -29,6 +29,20 @@ int producer_stage(const Netlist& ntk, const std::vector<int>& sigma,
   return sigma[node];
 }
 
+/// Producer stages of T1 core t's three data inputs, constants at 0: they
+/// still need a distinct arrival slot (eqs. 3 and 4).
+std::array<int, 3> t1_producers(const Netlist& ntk,
+                                const std::vector<int>& sigma,
+                                std::uint32_t t) {
+  std::array<int, 3> s{};
+  const auto f = ntk.fanins(t);
+  for (int j = 0; j < 3; ++j) {
+    const int ps = producer_stage(ntk, sigma, f[j]);
+    s[j] = (ps == kNoStage) ? 0 : ps;
+  }
+  return s;
+}
+
 /// Per-node consumer lists (regular cells and T1 cores; taps excluded
 /// because they share the core's physical cell).  CSR-backed: two flat
 /// arrays per relation instead of one heap vector per node.
@@ -71,22 +85,38 @@ Consumers build_consumers(const Netlist& ntk) {
   return c;
 }
 
-/// DFFs of the shared chain from a driver at `su` to regular consumers.
-/// Guarded against the `kNoStage` sentinel on either side: an unplaced or
-/// constant driver has no chain, and unplaced consumers don't stretch one
-/// (naive `max_sv - su` on sentinel stages is signed-overflow UB).
-long driver_chain_dffs(int su, std::span<const std::uint32_t> consumers,
-                       bool drives_po, int sigma_po,
-                       const std::vector<int>& sigma, int n) {
-  if (su == kNoStage) return 0;
-  int max_sv = drives_po ? sigma_po : kNoStage;
-  for (const std::uint32_t v : consumers) {
-    if (sigma[v] != kNoStage) max_sv = std::max(max_sv, sigma[v]);
-  }
-  if (max_sv == kNoStage) return 0;
+/// DFFs of a shared chain from a driver at `su` whose latest regular
+/// consumer (or the PO capture) sits at `max_sv`.  Guarded against the
+/// `kNoStage` sentinel on either side: an unplaced or constant driver has
+/// no chain, and neither has a driver without placed consumers (naive
+/// `max_sv - su` on sentinel stages is signed-overflow UB).
+long chain_dffs(int su, int max_sv, int n) {
+  if (su == kNoStage || max_sv == kNoStage) return 0;
   const long gap = static_cast<long>(max_sv) - su;
   if (gap <= 0) return 0;
   return std::max(0l, (gap + n - 1) / n - 1);
+}
+
+/// Latest stage among a driver's placed regular consumers other than
+/// `skip`, and `sigma_po` when the driver feeds a PO; kNoStage when none.
+int max_consumer_stage(std::span<const std::uint32_t> consumers,
+                       bool drives_po, int sigma_po,
+                       const std::vector<int>& sigma,
+                       std::uint32_t skip = std::numeric_limits<
+                           std::uint32_t>::max()) {
+  int max_sv = drives_po ? sigma_po : kNoStage;
+  for (const std::uint32_t w : consumers) {
+    if (w != skip && sigma[w] != kNoStage) max_sv = std::max(max_sv, sigma[w]);
+  }
+  return max_sv;
+}
+
+/// DFFs of the shared chain from a driver at `su` to regular consumers.
+long driver_chain_dffs(int su, std::span<const std::uint32_t> consumers,
+                       bool drives_po, int sigma_po,
+                       const std::vector<int>& sigma, int n) {
+  return chain_dffs(
+      su, max_consumer_stage(consumers, drives_po, sigma_po, sigma), n);
 }
 
 }  // namespace
@@ -183,19 +213,19 @@ bool fanin_side_ok(const Netlist& ntk, const std::vector<int>& sigma,
   if (ntk.is_tap(v)) return sigma[v] == sigma[ntk.fanins(v)[0]];
   if (k == CellKind::kT1) {
     if (n < 3) return false;
-    std::array<int, 3> s{};
-    const auto f = ntk.fanins(v);
-    for (int j = 0; j < 3; ++j) {
-      const int ps = producer_stage(ntk, sigma, f[j]);
-      s[j] = (ps == kNoStage) ? 0 : ps;
-    }
-    return sigma[v] >= t1_min_stage(s);
+    return sigma[v] >= t1_min_stage(t1_producers(ntk, sigma, v));
   }
   for (const std::uint32_t u : ntk.fanins(v)) {
     const int ps = producer_stage(ntk, sigma, u);
     if (ps != kNoStage && sigma[v] <= ps) return false;
   }
   return true;
+}
+
+/// Minimum release-chain DFFs of T1 core t under `sigma` (eq. 4).
+long t1_release_dffs(const Netlist& ntk, const std::vector<int>& sigma,
+                     std::uint32_t t, int n) {
+  return solve_t1_releases(t1_producers(ntk, sigma, t), sigma[t], n).dffs;
 }
 
 }  // namespace
@@ -230,14 +260,7 @@ DffCount count_dffs(const Netlist& ntk, const StageAssignment& sa) {
                                        sa.sigma, n);
   }
   for (std::uint32_t t = 0; t < ntk.num_nodes(); ++t) {
-    if (!ntk.is_t1(t)) continue;
-    std::array<int, 3> s{};
-    const auto f = ntk.fanins(t);
-    for (int j = 0; j < 3; ++j) {
-      const int ps = producer_stage(ntk, sa.sigma, f[j]);
-      s[j] = (ps == kNoStage) ? 0 : ps;
-    }
-    count.t1 += solve_t1_releases(s, sa.sigma[t], n).dffs;
+    if (ntk.is_t1(t)) count.t1 += t1_release_dffs(ntk, sa.sigma, t, n);
   }
   return count;
 }
@@ -259,13 +282,7 @@ void asap(const Netlist& ntk, std::vector<int>& sigma) {
       continue;
     }
     if (k == CellKind::kT1) {
-      std::array<int, 3> s{};
-      const auto f = ntk.fanins(v);
-      for (int j = 0; j < 3; ++j) {
-        const int ps = producer_stage(ntk, sigma, f[j]);
-        s[j] = (ps == kNoStage) ? 0 : ps;
-      }
-      sigma[v] = t1_min_stage(s);
+      sigma[v] = t1_min_stage(t1_producers(ntk, sigma, v));
       continue;
     }
     int lo = 1;
@@ -277,85 +294,99 @@ void asap(const Netlist& ntk, std::vector<int>& sigma) {
   }
 }
 
-/// Cost of the drivers whose chains depend on node v's stage, plus the T1
-/// release costs v participates in.  Used to score candidate moves.
-long local_cost(const Netlist& ntk, const Consumers& cons,
-                const std::vector<int>& sigma, int sigma_po, int n,
-                std::uint32_t v, std::span<const std::uint32_t> taps_of_v) {
-  long cost = 0;
-  const auto driver_cost = [&](std::uint32_t u) {
-    if (ntk.is_const(u) || ntk.is_t1(u)) return 0l;
-    return driver_chain_dffs(sigma[u], cons.regular[u],
-                             cons.drives_po[u] != 0, sigma_po, sigma, n);
-  };
-  const auto t1_cost = [&](std::uint32_t t) {
-    std::array<int, 3> s{};
-    const auto f = ntk.fanins(t);
-    for (int j = 0; j < 3; ++j) {
-      const int ps = producer_stage(ntk, sigma, f[j]);
-      s[j] = (ps == kNoStage) ? 0 : ps;
-    }
-    return solve_t1_releases(s, sigma[t], n).dffs;
-  };
+/// Everything the descent needs to check and score every candidate stage
+/// of one node v.  Only v's own stage (and its taps') varies while v's
+/// candidates are scanned, so the legal window and each chain's other
+/// consumers are read once per evaluated node; a candidate then costs
+/// O(fanins + T1 consumers).  Buffers are reused across nodes.
+struct NodeWindow {
+  /// Legal stages w.r.t. v's fanins (eq. 3 when v is a core) and its
+  /// regular consumers and POs: lo <= s <= hi.  The assignment is legal
+  /// before every move, so a consumer's other fanins need no re-check.
+  int lo = 0;
+  int hi = 0;
+  /// Cost terms that do not depend on v's stage.
+  long fixed = 0;
+  /// Per chain that v (or, for a core, each tap) drives: its latest
+  /// consumer stage.  The chain starts at v's stage.
+  std::vector<int> own_max;
+  /// Per non-constant fanin u of a regular v (with multiplicity): u's
+  /// stage and its latest consumer stage other than v.  v's stage joins
+  /// the max.
+  std::vector<std::pair<int, int>> fanin_chains;
+  /// T1 cores reading v (or its taps), with multiplicity: their eq. (3)
+  /// legality and release costs depend on v's stage.
+  std::vector<std::uint32_t> t1_users;
 
-  if (ntk.is_t1(v)) {
-    cost += t1_cost(v);
-    for (const std::uint32_t tap : taps_of_v) {
-      cost += driver_cost(tap);
-      for (const Consumers::T1Pin& p : cons.t1[tap]) cost += t1_cost(p.node);
+  void build(const Netlist& ntk, const Consumers& cons,
+             const std::vector<int>& sigma, int sigma_po, int n,
+             std::uint32_t v, std::span<const std::uint32_t> taps) {
+    own_max.clear();
+    fanin_chains.clear();
+    t1_users.clear();
+    fixed = 0;
+    hi = std::numeric_limits<int>::max();
+    const auto add_driver = [&](std::uint32_t x) {
+      own_max.push_back(max_consumer_stage(
+          cons.regular[x], cons.drives_po[x] != 0, sigma_po, sigma));
+      for (const std::uint32_t w : cons.regular[x]) {
+        hi = std::min(hi, sigma[w] - 1);
+      }
+      if (cons.drives_po[x] != 0) hi = std::min(hi, sigma_po - 1);
+      for (const Consumers::T1Pin& p : cons.t1[x]) t1_users.push_back(p.node);
+    };
+
+    if (ntk.is_t1(v)) {
+      lo = t1_min_stage(t1_producers(ntk, sigma, v));
+      for (const std::uint32_t tap : taps) add_driver(tap);
+      // A core is no regular consumer, so its fanins' chains are fixed.
+      for (const std::uint32_t u : ntk.fanins(v)) {
+        if (ntk.is_const(u) || ntk.is_t1(u)) continue;
+        fixed += driver_chain_dffs(sigma[u], cons.regular[u],
+                                   cons.drives_po[u] != 0, sigma_po, sigma,
+                                   n);
+      }
+      return;
     }
-  } else {
-    cost += driver_cost(v);
-    for (const Consumers::T1Pin& p : cons.t1[v]) cost += t1_cost(p.node);
+    lo = 1;  // stages below 1 are never candidates
+    for (const std::uint32_t u : ntk.fanins(v)) {
+      const int ps = producer_stage(ntk, sigma, u);
+      if (ps != kNoStage) lo = std::max(lo, ps + 1);
+      if (ntk.is_const(u) || ntk.is_t1(u)) continue;
+      fanin_chains.emplace_back(
+          sigma[u], max_consumer_stage(cons.regular[u],
+                                       cons.drives_po[u] != 0, sigma_po,
+                                       sigma, /*skip=*/v));
+    }
+    add_driver(v);
   }
-  // Fanins' chains see v as a consumer.
-  for (const std::uint32_t u : ntk.fanins(v)) {
-    if (!ntk.is_const(u) && !ntk.is_t1(u)) cost += driver_cost(u);
-  }
-  return cost;
-}
 
-/// True if setting node v (and its taps) to stage s keeps the assignment
-/// legal for v and all its direct consumers.
-bool move_is_legal(const Netlist& ntk, const Consumers& cons,
-                   std::vector<int>& sigma, int sigma_po, int n,
-                   std::uint32_t v, std::span<const std::uint32_t> taps,
-                   int s) {
-  const int old = sigma[v];
-  sigma[v] = s;
-  for (const std::uint32_t tap : taps) sigma[tap] = s;
-
-  bool ok = fanin_side_ok(ntk, sigma, v, n);
-  const auto check_consumers = [&](std::uint32_t producer) {
-    for (const std::uint32_t w : cons.regular[producer]) {
-      if (!fanin_side_ok(ntk, sigma, w, n)) return false;
-    }
-    for (const Consumers::T1Pin& p : cons.t1[producer]) {
-      if (!fanin_side_ok(ntk, sigma, p.node, n)) return false;
-    }
-    if (cons.drives_po[producer] != 0 && sigma_po <= sigma[producer]) {
-      return false;
+  /// Whether stage `s` (already written to v and its taps in `sigma`)
+  /// keeps the assignment legal, given lo <= s <= hi.
+  bool t1_users_ok(const Netlist& ntk, const std::vector<int>& sigma,
+                   int n) const {
+    for (const std::uint32_t t : t1_users) {
+      if (!fanin_side_ok(ntk, sigma, t, n)) return false;
     }
     return true;
-  };
-  if (ok) {
-    if (ntk.is_t1(v)) {
-      for (const std::uint32_t tap : taps) {
-        if (!check_consumers(tap)) {
-          ok = false;
-          break;
-        }
-      }
-    } else {
-      ok = check_consumers(v);
+  }
+
+  /// DFFs of every chain and T1 release that v's stage `s` (already
+  /// written to v and its taps in `sigma`) influences.
+  long cost(const Netlist& ntk, const std::vector<int>& sigma, int n,
+            std::uint32_t v, int s) const {
+    long c = fixed;
+    for (const int max_sv : own_max) c += chain_dffs(s, max_sv, n);
+    for (const auto& [su, max_sv] : fanin_chains) {
+      c += chain_dffs(su, std::max(max_sv, s), n);
     }
+    if (ntk.is_t1(v)) c += t1_release_dffs(ntk, sigma, v, n);
+    for (const std::uint32_t t : t1_users) {
+      c += t1_release_dffs(ntk, sigma, t, n);
+    }
+    return c;
   }
-  if (!ok) {
-    sigma[v] = old;
-    for (const std::uint32_t tap : taps) sigma[tap] = old;
-  }
-  return ok;
-}
+};
 
 }  // namespace
 
@@ -447,6 +478,7 @@ StageAssignment assign_stages(const Netlist& ntk, const StageParams& params) {
   };
 
   std::vector<int> candidates;  // reused across nodes, no per-node heap
+  NodeWindow window;
   static constexpr std::span<const std::uint32_t> kNoTaps;
 
   for (int sweep = 0; sweep < params.max_sweeps; ++sweep) {
@@ -459,7 +491,7 @@ StageAssignment assign_stages(const Netlist& ntk, const StageParams& params) {
           ntk.is_t1(v) ? taps[v] : kNoTaps;
 
       // Candidate stages: breakpoints induced by fanins (σu+1, σu+1+n) and
-      // consumers (σw−1, σw−1−n), clipped to legality by move_is_legal.
+      // consumers (σw−1, σw−1−n), clipped to legality by the node window.
       candidates.clear();
       candidates.push_back(sa.sigma[v]);
       for (const std::uint32_t u : ntk.fanins(v)) {
@@ -494,30 +526,29 @@ StageAssignment assign_stages(const Netlist& ntk, const StageParams& params) {
                        candidates.end());
 
       const int original = sa.sigma[v];
-      long best_cost = local_cost(ntk, cons, sa.sigma, sa.sigma_po, n, v,
-                                  my_taps);
+      const auto place = [&](int stage) {
+        sa.sigma[v] = stage;
+        for (const std::uint32_t tap : my_taps) sa.sigma[tap] = stage;
+      };
+      window.build(ntk, cons, sa.sigma, sa.sigma_po, n, v, my_taps);
+      long best_cost = window.cost(ntk, sa.sigma, n, v, original);
       int best_stage = original;
       for (const int s : candidates) {
         if (s == original || s < 1) continue;
-        if (!move_is_legal(ntk, cons, sa.sigma, sa.sigma_po, n, v, my_taps,
-                           s)) {
-          continue;
+        if (s > window.hi) break;  // candidates ascend
+        if (s < window.lo) continue;
+        place(s);
+        if (window.t1_users_ok(ntk, sa.sigma, n)) {
+          const long cost = window.cost(ntk, sa.sigma, n, v, s);
+          if (cost < best_cost) {
+            best_cost = cost;
+            best_stage = s;
+          }
         }
-        const long cost =
-            local_cost(ntk, cons, sa.sigma, sa.sigma_po, n, v, my_taps);
-        if (cost < best_cost) {
-          best_cost = cost;
-          best_stage = s;
-        }
-        // Restore; the final best is applied after the scan.
-        sa.sigma[v] = original;
-        for (const std::uint32_t tap : my_taps) sa.sigma[tap] = original;
+        place(original);
       }
       if (best_stage != original) {
-        const bool ok = move_is_legal(ntk, cons, sa.sigma, sa.sigma_po, n, v,
-                                      my_taps, best_stage);
-        T1MAP_ASSERT(ok);
-        (void)ok;
+        place(best_stage);
         mark_affected(v);
         changed = true;
       }

@@ -89,7 +89,12 @@ struct Server::SessionState {
 
 Server::Server(ServeConfig config)
     : config_(std::move(config)),
-      cache_(config_.cache_bytes, config_.cache_dir) {}
+      cache_(config_.cache_bytes, config_.cache_dir),
+      pipeline_specs_{
+          t1::Pipeline::default_flow(false, config_.defaults.skip_checks)
+              .spec(),
+          t1::Pipeline::default_flow(true, config_.defaults.skip_checks)
+              .spec()} {}
 
 Server::Job Server::parse_request(const std::string& line, std::uint64_t seq,
                                   AigHasher& hasher) const {
@@ -180,8 +185,7 @@ Server::Job Server::parse_request(const std::string& line, std::uint64_t seq,
 
   // `group` keys the run_many batching (same configuration => same group),
   // the full `key` addresses the cache.
-  const std::string spec =
-      t1::Pipeline::default_flow(job.with_cec, defaults.skip_checks).spec();
+  const std::string& spec = pipeline_specs_[job.with_cec ? 1 : 0];
   job.group = config_fingerprint(job.params, spec);
   job.key = cache_key(hasher.hash(job.aig), job.params, spec);
   return job;

@@ -46,6 +46,7 @@
 
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -138,6 +139,10 @@ class Server {
 
   ServeConfig config_;
   TieredCache cache_;
+  /// `Pipeline::default_flow(with_cec, skip_checks).spec()` indexed by
+  /// `with_cec`: the only two pipelines this server runs, spelled once for
+  /// every request's cache key and batch group.
+  std::array<std::string, 2> pipeline_specs_;
 
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> responses_{0};

@@ -48,36 +48,6 @@ int cell_fanin_count(CellKind kind) { return info(kind).fanins; }
 int cell_area_jj(CellKind kind) { return info(kind).area; }
 bool cell_is_clocked(CellKind kind) { return info(kind).clocked; }
 
-bool cell_is_t1_tap(CellKind kind) {
-  switch (kind) {
-    case CellKind::kT1TapS:
-    case CellKind::kT1TapC:
-    case CellKind::kT1TapQ:
-    case CellKind::kT1TapCn:
-    case CellKind::kT1TapQn:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool cell_is_logic(CellKind kind) {
-  switch (kind) {
-    case CellKind::kBuf:
-    case CellKind::kNot:
-    case CellKind::kAnd2:
-    case CellKind::kOr2:
-    case CellKind::kXor2:
-    case CellKind::kAnd3:
-    case CellKind::kOr3:
-    case CellKind::kXor3:
-    case CellKind::kMaj3:
-      return true;
-    default:
-      return false;
-  }
-}
-
 Tt cell_tt(CellKind kind) {
   switch (kind) {
     case CellKind::kBuf:

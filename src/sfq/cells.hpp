@@ -72,11 +72,18 @@ int cell_area_jj(CellKind kind);
 /// stage and are reported unclocked here).
 bool cell_is_clocked(CellKind kind);
 
-/// True for the five T1 output taps.
-bool cell_is_t1_tap(CellKind kind);
+/// True for the five T1 output taps (contiguous in `CellKind`).  Inline:
+/// node-kind tests sit in the innermost loops of cut enumeration and stage
+/// assignment.
+inline bool cell_is_t1_tap(CellKind kind) {
+  return kind >= CellKind::kT1TapS && kind <= CellKind::kT1TapQn;
+}
 
-/// True for plain single-output logic cells usable by the technology mapper.
-bool cell_is_logic(CellKind kind);
+/// True for plain single-output logic cells usable by the technology mapper
+/// (BUF through MAJ3, contiguous in `CellKind`).
+inline bool cell_is_logic(CellKind kind) {
+  return kind >= CellKind::kBuf && kind <= CellKind::kMaj3;
+}
 
 /// Local function of a logic cell over its fanins (1..3 variables).
 /// Precondition: `cell_is_logic(kind)` or a tap kind; taps return their

@@ -102,11 +102,15 @@ long Netlist::splitter_count() const {
 }
 
 long Netlist::cell_area_jj_total() const {
+  return cell_area_jj_total(splitter_count());
+}
+
+long Netlist::cell_area_jj_total(long splitters) const {
   long area = 0;
   for (const Node& node : nodes_) {
     area += cell_area_jj(node.kind);
   }
-  return area + kSplitterAreaJj * splitter_count();
+  return area + kSplitterAreaJj * splitters;
 }
 
 void Netlist::check_well_formed() const {
@@ -140,8 +144,15 @@ void Netlist::check_well_formed() const {
 
 std::vector<std::uint64_t> Netlist::simulate_nodes(
     std::span<const std::uint64_t> pi_words) const {
+  std::vector<std::uint64_t> value;
+  simulate_nodes_into(pi_words, value);
+  return value;
+}
+
+void Netlist::simulate_nodes_into(std::span<const std::uint64_t> pi_words,
+                                  std::vector<std::uint64_t>& value) const {
   T1MAP_REQUIRE(pi_words.size() == num_pis(), "need one word per PI");
-  std::vector<std::uint64_t> value(num_nodes(), 0);
+  value.resize(num_nodes());  // every node's word is written below
   std::uint32_t pi_index = 0;
   for (std::uint32_t id = 0; id < num_nodes(); ++id) {
     const Node& node = nodes_[id];
@@ -223,7 +234,6 @@ std::vector<std::uint64_t> Netlist::simulate_nodes(
       }
     }
   }
-  return value;
 }
 
 std::vector<std::uint64_t> Netlist::simulate(

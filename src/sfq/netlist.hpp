@@ -120,6 +120,10 @@ class Netlist {
   /// path-balancing DFFs (those live in RetimeResult).
   long cell_area_jj_total() const;
 
+  /// As above, with the splitters given as this netlist's `splitter_count()`
+  /// (for callers that report both and count splitters once).
+  long cell_area_jj_total(long splitters) const;
+
   /// Throws ContractError on any structural violation.
   void check_well_formed() const;
 
@@ -129,6 +133,11 @@ class Netlist {
   /// functions).
   std::vector<std::uint64_t> simulate_nodes(
       std::span<const std::uint64_t> pi_words) const;
+
+  /// As `simulate_nodes`, into a caller-owned buffer (resized to
+  /// `num_nodes()`), so repeated simulations reuse one allocation.
+  void simulate_nodes_into(std::span<const std::uint64_t> pi_words,
+                           std::vector<std::uint64_t>& value) const;
 
   /// One value word per PO.
   std::vector<std::uint64_t> simulate(

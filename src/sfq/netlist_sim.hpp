@@ -23,11 +23,13 @@ struct Mismatch {
   std::vector<std::uint64_t> pi_words;  // stimulus word per PI
 };
 
-/// Reusable stimulus buffer.  Passing the same scratch to many checks keeps
-/// one PI-word allocation alive across all of them (the FlowEngine holds one
-/// per thread); results are unaffected.
+/// Reusable stimulus and node-value buffers.  Passing the same scratch to
+/// many checks keeps one allocation of each alive across all of them (the
+/// FlowEngine holds one per thread); results are unaffected.
 struct SimScratch {
   std::vector<std::uint64_t> pi_words;
+  std::vector<std::uint64_t> aig_values;  // one word per AIG node
+  std::vector<std::uint64_t> ntk_values;  // one word per netlist node
 };
 
 /// Simulates `rounds` * 64 random patterns through both designs; returns the

@@ -160,15 +160,18 @@ bool DffInsertPass::run(FlowContext& ctx) const {
   // Table-I statistics of the materialized result.
   const sfq::Netlist& mat = ctx.materialized.netlist;
   FlowStats& s = ctx.stats;
-  s.dffs = mat.count_kind(sfq::CellKind::kDff);
-  s.area_jj = mat.cell_area_jj_total();
+  s.splitters = mat.splitter_count();
+  s.area_jj = mat.cell_area_jj_total(s.splitters);
   s.depth_cycles = ctx.materialized.stages.depth_cycles();
   s.num_stages = ctx.materialized.stages.sigma_po;
-  s.t1_cores = mat.num_t1();
-  s.splitters = mat.splitter_count();
+  s.dffs = 0;
+  s.t1_cores = 0;
   s.logic_cells = 0;
   for (std::uint32_t v = 0; v < mat.num_nodes(); ++v) {
-    if (sfq::cell_is_logic(mat.kind(v))) ++s.logic_cells;
+    const sfq::CellKind k = mat.kind(v);
+    if (k == sfq::CellKind::kDff) ++s.dffs;
+    if (k == sfq::CellKind::kT1) ++s.t1_cores;
+    if (sfq::cell_is_logic(k)) ++s.logic_cells;
   }
   return true;
 }

@@ -108,21 +108,7 @@ Tt compose(const Tt& local, std::span<const Tt> fanins) {
   for (const Tt& f : fanins) {
     T1MAP_REQUIRE(f.num_vars() == nvars, "compose: fanin arity mismatch");
   }
-  // Word-parallel Shannon expansion: every minterm of `local` contributes
-  // the AND of its fanin tables (complemented where the minterm has a 0),
-  // all 2^nvars result rows at once.
-  const std::uint64_t full = Tt::ones(nvars).bits();
-  std::uint64_t result = 0;
-  for (std::uint64_t row = 0; row < local.num_bits(); ++row) {
-    if (!local.bit(row)) continue;
-    std::uint64_t term = full;
-    for (std::size_t k = 0; k < fanins.size() && term != 0; ++k) {
-      const std::uint64_t f = fanins[k].bits();
-      term &= ((row >> k) & 1u) != 0 ? f : ~f;
-    }
-    result |= term;
-  }
-  return Tt(nvars, result);
+  return detail::compose_unchecked(local, fanins, nvars);
 }
 
 Tt expand_to_leaves(const Tt& tt, std::span<const std::uint32_t> from,

@@ -140,6 +140,34 @@ class Tt {
 /// function is computed from per-node local functions.
 Tt compose(const Tt& local, std::span<const Tt> fanins);
 
+namespace detail {
+
+/// The kernel of `compose` without its checks: the caller guarantees
+/// `local.num_vars() == fanins.size()` (>= 1) and that every fanin table
+/// has `nvars` variables.  Cut enumeration calls this once per candidate
+/// cut after checking the local arity once per node.
+inline Tt compose_unchecked(const Tt& local, std::span<const Tt> fanins,
+                            int nvars) {
+  // Word-parallel Shannon expansion: every minterm of `local` contributes
+  // the AND of its fanin tables (complemented where the minterm has a 0),
+  // all 2^nvars result rows at once.
+  const std::uint64_t full = Tt::ones(nvars).bits();
+  const std::uint64_t lbits = local.bits();
+  std::uint64_t result = 0;
+  for (std::uint64_t row = 0; row < local.num_bits(); ++row) {
+    if (((lbits >> row) & 1u) == 0) continue;
+    std::uint64_t term = full;
+    for (std::size_t k = 0; k < fanins.size() && term != 0; ++k) {
+      const std::uint64_t f = fanins[k].bits();
+      term &= ((row >> k) & 1u) != 0 ? f : ~f;
+    }
+    result |= term;
+  }
+  return Tt(nvars, result);
+}
+
+}  // namespace detail
+
 /// The function of `tt` (over `from` leaves, ascending ids) re-expressed over
 /// the superset leaf list `to` (ascending).  Every id in `from` must occur in
 /// `to`.

@@ -125,6 +125,26 @@ TEST(Cli, BenchSingleRunOmitsJitterFields) {
   EXPECT_FALSE(total.contains("max_ms"));
 }
 
+TEST(Cli, BenchSkipChecksOmitsRowsOfPassesThatNeverRan) {
+  std::string out;
+  const int status = run_command(
+      kCli + " --bench --gen adder8 --bench-runs 2 --skip-checks "
+             "--bench-out - 2>/dev/null",
+      out);
+  ASSERT_EQ(status, 0) << out;
+  const io::Json stages =
+      io::Json::parse(out).at("circuits").at("adder8").at("stages");
+  // --skip-checks drops the timing/sim and CEC passes: their rows would
+  // only report 0 ms, so they are absent instead.
+  EXPECT_FALSE(stages.contains("self_check"));
+  EXPECT_FALSE(stages.contains("cec"));
+  for (const char* stage :
+       {"map", "t1_detect", "stage_assign", "dff_insert", "total"}) {
+    ASSERT_TRUE(stages.contains(stage)) << stage;
+    EXPECT_GE(stages.at(stage).at("min_ms").as_number(), 0.0) << stage;
+  }
+}
+
 TEST(Cli, RejectsInvalidThreadAndBenchCounts) {
   std::string out;
   // Zero/negative worker or repetition counts would hang the pool or emit

@@ -185,5 +185,48 @@ TEST(CutEnum, CutFunctionsMatchSimulation) {
   }
 }
 
+TEST(CutEnum, ExpandTableMatchesExpandToLeaves) {
+  // Every target size the table covers, every subset of target positions
+  // the source leaves can occupy, and every source truth table.
+  const std::uint32_t all_leaves[] = {10, 20, 30};
+  for (int n = 1; n <= detail::kExpandTableLeaves; ++n) {
+    const std::span<const std::uint32_t> to(all_leaves,
+                                            static_cast<std::size_t>(n));
+    for (unsigned mask = 0; mask < (1u << n); ++mask) {
+      std::vector<std::uint32_t> from;
+      for (int p = 0; p < n; ++p) {
+        if ((mask >> p) & 1u) from.push_back(all_leaves[p]);
+      }
+      const int m = static_cast<int>(from.size());
+      for (std::uint64_t bits = 0; bits < (1ull << (1u << m)); ++bits) {
+        const Tt tt(m, bits);
+        const Tt want = expand_to_leaves(tt, from, to);
+        EXPECT_EQ(Tt(n, detail::kExpandTable[n][mask][bits]), want)
+            << "n=" << n << " mask=" << mask << " bits=" << bits;
+        // The enumerator's entry point agrees too (it short-circuits the
+        // equal-size case, which the table covers as the identity).
+        Cut cut;
+        for (const std::uint32_t leaf : from) cut.leaves.push_back(leaf);
+        cut.tt = tt;
+        CutLeaves target;
+        for (const std::uint32_t leaf : to) target.push_back(leaf);
+        EXPECT_EQ(detail::expand_cut_tt(cut, target), want);
+      }
+    }
+  }
+}
+
+TEST(CutEnum, FourLeafTargetsFallBackToExpandToLeaves) {
+  const std::uint32_t to_ids[] = {1, 2, 3, 4};
+  const std::uint32_t from_ids[] = {2, 4};
+  Cut cut;
+  for (const std::uint32_t leaf : from_ids) cut.leaves.push_back(leaf);
+  cut.tt = tts::xor2();
+  CutLeaves target;
+  for (const std::uint32_t leaf : to_ids) target.push_back(leaf);
+  EXPECT_EQ(detail::expand_cut_tt(cut, target),
+            Tt::var(4, 1) ^ Tt::var(4, 3));
+}
+
 }  // namespace
 }  // namespace t1map

@@ -4,12 +4,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <span>
+#include <string>
+#include <vector>
 
+#include "fuzz/fuzzer.hpp"
+#include "fuzz/random_aig.hpp"
+#include "gen/registry.hpp"
 #include "retime/dff_insert.hpp"
 #include "retime/stage_assign.hpp"
 #include "retime/timing_check.hpp"
 #include "sfq/netlist.hpp"
+#include "t1/flow_engine.hpp"
 
 namespace t1map::retime {
 namespace {
@@ -297,6 +305,352 @@ TEST(Depth, CyclesIsCeilStagesOverPhases) {
   EXPECT_EQ(sa.depth_cycles(), 32);
   sa.num_phases = 1;
   EXPECT_EQ(sa.depth_cycles(), 128);
+}
+
+// --- Descent oracle ------------------------------------------------------------
+//
+// `assign_stages` scores a node's candidate stages against a window computed
+// once per node.  The reference below is the per-candidate evaluation it
+// replaced, kept verbatim in behaviour: every candidate re-checks every
+// consumer (`move_is_legal`) and re-scans every fanin's consumers
+// (`local_cost`).  Both must produce the same σ and σ_PO.
+
+namespace oracle {
+
+constexpr int kNoStage = std::numeric_limits<int>::min();
+
+int producer_stage(const Netlist& ntk, const std::vector<int>& sigma,
+                   std::uint32_t node) {
+  return ntk.is_const(node) ? kNoStage : sigma[node];
+}
+
+struct Consumers {
+  std::vector<std::vector<std::uint32_t>> regular;
+  std::vector<std::vector<std::uint32_t>> t1;  // T1 cores reading the node
+  std::vector<std::uint8_t> drives_po;
+  std::vector<std::vector<std::uint32_t>> taps;
+};
+
+Consumers build_consumers(const Netlist& ntk) {
+  const std::uint32_t n = ntk.num_nodes();
+  Consumers c;
+  c.regular.resize(n);
+  c.t1.resize(n);
+  c.taps.resize(n);
+  for (std::uint32_t v = 0; v < n; ++v) {
+    if (ntk.is_tap(v)) c.taps[ntk.fanins(v)[0]].push_back(v);
+    if (ntk.is_tap(v)) continue;
+    for (const std::uint32_t u : ntk.fanins(v)) {
+      if (ntk.is_const(u)) continue;
+      if (ntk.is_t1(v)) {
+        c.t1[u].push_back(v);
+      } else {
+        c.regular[u].push_back(v);
+      }
+    }
+  }
+  c.drives_po.assign(n, 0);
+  for (const auto& po : ntk.pos()) c.drives_po[po.driver] = 1;
+  return c;
+}
+
+long driver_chain_dffs(int su, const std::vector<std::uint32_t>& consumers,
+                       bool drives_po, int sigma_po,
+                       const std::vector<int>& sigma, int n) {
+  if (su == kNoStage) return 0;
+  int max_sv = drives_po ? sigma_po : kNoStage;
+  for (const std::uint32_t v : consumers) {
+    if (sigma[v] != kNoStage) max_sv = std::max(max_sv, sigma[v]);
+  }
+  if (max_sv == kNoStage) return 0;
+  const long gap = static_cast<long>(max_sv) - su;
+  if (gap <= 0) return 0;
+  return std::max(0l, (gap + n - 1) / n - 1);
+}
+
+std::array<int, 3> t1_producers(const Netlist& ntk,
+                                const std::vector<int>& sigma,
+                                std::uint32_t t) {
+  std::array<int, 3> s{};
+  const auto f = ntk.fanins(t);
+  for (int j = 0; j < 3; ++j) {
+    const int ps = producer_stage(ntk, sigma, f[j]);
+    s[j] = (ps == kNoStage) ? 0 : ps;
+  }
+  return s;
+}
+
+bool fanin_side_ok(const Netlist& ntk, const std::vector<int>& sigma,
+                   std::uint32_t v, int n) {
+  if (ntk.is_pi(v) || ntk.is_const(v)) return true;
+  if (ntk.is_tap(v)) return sigma[v] == sigma[ntk.fanins(v)[0]];
+  if (ntk.is_t1(v)) {
+    return n >= 3 && sigma[v] >= t1_min_stage(t1_producers(ntk, sigma, v));
+  }
+  for (const std::uint32_t u : ntk.fanins(v)) {
+    const int ps = producer_stage(ntk, sigma, u);
+    if (ps != kNoStage && sigma[v] <= ps) return false;
+  }
+  return true;
+}
+
+long local_cost(const Netlist& ntk, const Consumers& cons,
+                const std::vector<int>& sigma, int sigma_po, int n,
+                std::uint32_t v, std::span<const std::uint32_t> taps) {
+  const auto driver_cost = [&](std::uint32_t u) {
+    if (ntk.is_const(u) || ntk.is_t1(u)) return 0l;
+    return driver_chain_dffs(sigma[u], cons.regular[u],
+                             cons.drives_po[u] != 0, sigma_po, sigma, n);
+  };
+  const auto t1_cost = [&](std::uint32_t t) {
+    return solve_t1_releases(t1_producers(ntk, sigma, t), sigma[t], n).dffs;
+  };
+  long cost = 0;
+  if (ntk.is_t1(v)) {
+    cost += t1_cost(v);
+    for (const std::uint32_t tap : taps) {
+      cost += driver_cost(tap);
+      for (const std::uint32_t t : cons.t1[tap]) cost += t1_cost(t);
+    }
+  } else {
+    cost += driver_cost(v);
+    for (const std::uint32_t t : cons.t1[v]) cost += t1_cost(t);
+  }
+  for (const std::uint32_t u : ntk.fanins(v)) {
+    if (!ntk.is_const(u) && !ntk.is_t1(u)) cost += driver_cost(u);
+  }
+  return cost;
+}
+
+bool move_is_legal(const Netlist& ntk, const Consumers& cons,
+                   std::vector<int>& sigma, int sigma_po, int n,
+                   std::uint32_t v, std::span<const std::uint32_t> taps,
+                   int s) {
+  const int old = sigma[v];
+  sigma[v] = s;
+  for (const std::uint32_t tap : taps) sigma[tap] = s;
+  const auto check_consumers = [&](std::uint32_t producer) {
+    for (const std::uint32_t w : cons.regular[producer]) {
+      if (!fanin_side_ok(ntk, sigma, w, n)) return false;
+    }
+    for (const std::uint32_t t : cons.t1[producer]) {
+      if (!fanin_side_ok(ntk, sigma, t, n)) return false;
+    }
+    return cons.drives_po[producer] == 0 || sigma_po > sigma[producer];
+  };
+  bool ok = fanin_side_ok(ntk, sigma, v, n);
+  if (ok) {
+    if (ntk.is_t1(v)) {
+      for (const std::uint32_t tap : taps) ok = ok && check_consumers(tap);
+    } else {
+      ok = check_consumers(v);
+    }
+  }
+  if (!ok) {
+    sigma[v] = old;
+    for (const std::uint32_t tap : taps) sigma[tap] = old;
+  }
+  return ok;
+}
+
+/// ASAP from `assign_stages(optimize = false)`, then the frontier descent
+/// with per-candidate `move_is_legal` + `local_cost`.
+StageAssignment assign_stages(const Netlist& ntk, const StageParams& params) {
+  StageParams asap = params;
+  asap.optimize = false;
+  StageAssignment sa = retime::assign_stages(ntk, asap);
+  if (!params.optimize) return sa;
+
+  const Consumers cons = build_consumers(ntk);
+  const int n = params.num_phases;
+  const std::uint32_t nn = ntk.num_nodes();
+  std::vector<std::uint8_t> dirty_cur(nn, 1);
+  std::vector<std::uint8_t> dirty_next(nn, 0);
+  const auto canon = [&](std::uint32_t x) {
+    return ntk.is_tap(x) ? ntk.fanins(x)[0] : x;
+  };
+  const auto mark = [&](std::uint32_t x) {
+    x = canon(x);
+    dirty_cur[x] = 1;
+    dirty_next[x] = 1;
+  };
+  const auto for_each_consumer = [&](std::uint32_t x, auto&& fn) {
+    const auto each_out = [&](std::uint32_t y) {
+      for (const std::uint32_t w : cons.regular[y]) fn(w);
+      for (const std::uint32_t t : cons.t1[y]) fn(t);
+    };
+    if (ntk.is_t1(x)) {
+      for (const std::uint32_t tap : cons.taps[x]) each_out(tap);
+    } else {
+      each_out(x);
+    }
+  };
+  const auto for_each_fanin = [&](std::uint32_t x, auto&& fn) {
+    for (const std::uint32_t u : ntk.fanins(x)) {
+      if (!ntk.is_const(u)) fn(canon(u));
+    }
+  };
+  const auto mark_affected = [&](std::uint32_t v) {
+    mark(v);
+    for_each_fanin(v, [&](std::uint32_t u) {
+      mark(u);
+      for_each_consumer(u, [&](std::uint32_t w) { mark(w); });
+    });
+    for_each_consumer(v, [&](std::uint32_t w) {
+      mark(w);
+      for_each_fanin(w, [&](std::uint32_t u) { mark(u); });
+    });
+  };
+
+  for (int sweep = 0; sweep < params.max_sweeps; ++sweep) {
+    bool changed = false;
+    for (std::uint32_t v = 0; v < nn; ++v) {
+      if (!dirty_cur[v]) continue;
+      dirty_cur[v] = 0;
+      if (ntk.is_pi(v) || ntk.is_const(v) || ntk.is_tap(v)) continue;
+      const std::span<const std::uint32_t> taps =
+          ntk.is_t1(v) ? std::span<const std::uint32_t>(cons.taps[v])
+                       : std::span<const std::uint32_t>();
+      std::vector<int> candidates = {sa.sigma[v]};
+      for (const std::uint32_t u : ntk.fanins(v)) {
+        const int ps = producer_stage(ntk, sa.sigma, u);
+        if (ps == kNoStage) continue;
+        candidates.insert(candidates.end(), {ps + 1, ps + 1 + n, ps + 3});
+      }
+      const auto add_consumer_candidates = [&](std::uint32_t producer) {
+        for (const std::uint32_t w : cons.regular[producer]) {
+          candidates.insert(candidates.end(),
+                            {sa.sigma[w] - 1, sa.sigma[w] - 1 - n});
+        }
+        for (const std::uint32_t t : cons.t1[producer]) {
+          const int st = sa.sigma[t];
+          candidates.insert(candidates.end(), {st - 1, st - 3, st - n});
+        }
+        if (cons.drives_po[producer] != 0) {
+          candidates.insert(candidates.end(),
+                            {sa.sigma_po - 1, sa.sigma_po - 1 - n});
+        }
+      };
+      if (ntk.is_t1(v)) {
+        for (const std::uint32_t tap : taps) add_consumer_candidates(tap);
+      } else {
+        add_consumer_candidates(v);
+      }
+      std::sort(candidates.begin(), candidates.end());
+      candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                       candidates.end());
+
+      const int original = sa.sigma[v];
+      long best_cost =
+          local_cost(ntk, cons, sa.sigma, sa.sigma_po, n, v, taps);
+      int best_stage = original;
+      for (const int s : candidates) {
+        if (s == original || s < 1) continue;
+        if (!move_is_legal(ntk, cons, sa.sigma, sa.sigma_po, n, v, taps, s)) {
+          continue;
+        }
+        const long cost =
+            local_cost(ntk, cons, sa.sigma, sa.sigma_po, n, v, taps);
+        if (cost < best_cost) {
+          best_cost = cost;
+          best_stage = s;
+        }
+        sa.sigma[v] = original;
+        for (const std::uint32_t tap : taps) sa.sigma[tap] = original;
+      }
+      if (best_stage != original) {
+        EXPECT_TRUE(move_is_legal(ntk, cons, sa.sigma, sa.sigma_po, n, v,
+                                  taps, best_stage));
+        mark_affected(v);
+        changed = true;
+      }
+    }
+    if (!changed) break;
+    dirty_cur.swap(dirty_next);
+    std::fill(dirty_next.begin(), dirty_next.end(), 0);
+  }
+  return sa;
+}
+
+}  // namespace oracle
+
+/// The mapped (and, for T1, rewritten) netlist `assign_stages` sees in the
+/// flow, under 1φ, 4φ and T1 parameters.
+struct StageCase {
+  const char* config;
+  int phases;
+  bool use_t1;
+};
+constexpr StageCase kStageCases[] = {
+    {"1phi", 1, false}, {"4phi", 4, false}, {"t1", 4, true}};
+
+Netlist mapped_netlist(const Aig& aig, const StageCase& c) {
+  t1::Pipeline pipeline;
+  pipeline.add(std::make_unique<t1::MapPass>())
+      .add(std::make_unique<t1::T1DetectPass>());
+  t1::FlowEngine engine(std::move(pipeline));
+  t1::FlowParams params;
+  params.num_phases = c.phases;
+  params.use_t1 = c.use_t1;
+  t1::EngineResult r = engine.run(aig, params);
+  EXPECT_TRUE(r.ok()) << r.diagnostics.first_error();
+  return std::move(r.mapped);
+}
+
+/// Returns the number of nodes whose stage the descent moved off ASAP.
+long expect_descent_matches_oracle(const Netlist& ntk, const StageCase& c,
+                                   const std::string& label) {
+  const StageParams params{c.phases};
+  const StageAssignment got = assign_stages(ntk, params);
+  const StageAssignment want = oracle::assign_stages(ntk, params);
+  EXPECT_EQ(got.sigma, want.sigma) << label << " " << c.config;
+  EXPECT_EQ(got.sigma_po, want.sigma_po) << label << " " << c.config;
+  StageParams asap = params;
+  asap.optimize = false;
+  const StageAssignment start = assign_stages(ntk, asap);
+  long moved = 0;
+  for (std::size_t v = 0; v < got.sigma.size(); ++v) {
+    moved += got.sigma[v] != start.sigma[v] ? 1 : 0;
+  }
+  return moved;
+}
+
+TEST(StageDescent, MatchesPerCandidateOracleOnCiFuzzSeeds) {
+  // The netlists of `t1map --fuzz 300 --fuzz-seed 4` and `--fuzz-seed 7`.
+  long moved = 0;
+  long t1_cores = 0;
+  for (const std::uint64_t seed : {4ull, 7ull}) {
+    for (int iter = 0; iter < 300; ++iter) {
+      const Aig aig = fuzz::random_aig(
+          fuzz::iteration_aig_options(fuzz::FuzzOptions{}.aig, seed, iter));
+      for (const StageCase& c : kStageCases) {
+        const Netlist ntk = mapped_netlist(aig, c);
+        t1_cores += ntk.num_t1();
+        moved += expect_descent_matches_oracle(
+            ntk, c,
+            "seed " + std::to_string(seed) + " iter " + std::to_string(iter));
+      }
+    }
+  }
+  // Non-vacuous: the descent moved nodes, and T1 cores were in play.
+  EXPECT_GT(moved, 0);
+  EXPECT_GT(t1_cores, 0);
+}
+
+TEST(StageDescent, MatchesPerCandidateOracleOnGenerators) {
+  long moved = 0;
+  long t1_cores = 0;
+  for (const char* name : {"adder16", "adder64", "mul8", "square12",
+                           "voter25", "comparator16", "sin12", "log2_8"}) {
+    const Aig aig = gen::make_named(name);
+    for (const StageCase& c : kStageCases) {
+      const Netlist ntk = mapped_netlist(aig, c);
+      t1_cores += ntk.num_t1();
+      moved += expect_descent_matches_oracle(ntk, c, name);
+    }
+  }
+  EXPECT_GT(moved, 0);
+  EXPECT_GT(t1_cores, 0);
 }
 
 }  // namespace
